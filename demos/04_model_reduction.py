@@ -29,7 +29,7 @@ print("after the stage (escape case keeps the constraints):"
 
 print("\n=== Reduced model vs full model (TP) ===")
 red = simulate_reduced(1e6, 6e8, P)
-rep = compare_reduced(res.trajectory, red)
+rep = compare_reduced(res.trajectory, red, res.stage, res.stable_equilibria)
 print(f"effective parameters referenced: {red.effective.count}")
 print(f"  {red.effective}")
 print(f"full model reaches {rep.full_attractor}, reduced reaches {rep.reduced_attractor}")
@@ -42,7 +42,7 @@ print(f"final tumor burden: full {res.trajectory.y[-1, 0]:.6g},"
 print("\n=== Same comparison for the remission case (TR) ===")
 tr = run_scenario("TR")
 red_tr = simulate_reduced(1e7, 4e10, P)
-rep_tr = compare_reduced(tr.trajectory, red_tr)
+rep_tr = compare_reduced(tr.trajectory, red_tr, tr.stage, tr.stable_equilibria)
 print(f"full model reaches {rep_tr.full_attractor}, reduced reaches"
       f" {rep_tr.reduced_attractor}")
 print("window errors per variable:", np.round(rep_tr.max_err, 3))

@@ -24,7 +24,6 @@ from .harness import (
     SCENARIOS,
     PerturbationSpec,
     Scenario,
-    VARIABLES,
     get_scenario,
     report_tables,
     run_perturbation,
@@ -32,6 +31,7 @@ from .harness import (
     scenario_from_json,
 )
 from .integrator import IntegratorConfig, basin_threshold
+from .kinetics import VARIABLES
 from .params import DEFAULT_PARAMETERS, ParameterSet
 from .reduction import compare_reduced, simulate_reduced
 
@@ -53,6 +53,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _by_variable(values) -> Optional[dict]:
+    """{T, N, L, C} -> value; None stays None (no window to summarize)."""
+    if values is None:
+        return None
+    return {var: float(values[i]) for i, var in enumerate(VARIABLES)}
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +240,19 @@ def cmd_reduce(args) -> int:
     cfg = _int_config(args, scn.t_end)
     res = run_scenario(scn, params, cfg)
     red = simulate_reduced(scn.T0, scn.C0, params, cfg)
+    rep = compare_reduced(res.trajectory, red, res.stage, res.stable_equilibria)
     rows = ([_g(t), _g(y[0]), _g(y[3]), _g(y[1]), _g(y[2])]
             for t, y in zip(red.t, red.y))
     _write_csv(out / "reduced_trajectory.csv",
                ["t", "T", "C", "N_hat", "L_hat"], rows)
     _write_constraint_errors(out, res.errors)
-    rep = compare_reduced(res.trajectory, red)
     _write_json(out / "reduce_summary.json", {
         "full_attractor": rep.full_attractor,
         "reduced_attractor": rep.reduced_attractor,
         "attractor_agreement": bool(rep.attractor_agreement),
         "window": list(rep.window) if rep.window else None,
-        "max_rel_err": {var: float(rep.max_err[i]) for i, var in enumerate(VARIABLES)},
-        "mean_rel_err": {var: float(rep.mean_err[i]) for i, var in enumerate(VARIABLES)},
+        "max_rel_err": _by_variable(rep.max_err),
+        "mean_rel_err": _by_variable(rep.mean_err),
         "effective_parameters": dataclasses.asdict(red.effective),
         "effective_parameter_count": red.effective.count,
     })
@@ -273,10 +280,9 @@ def cmd_perturb(args) -> int:
         "rel_delta_t_exp": rep.rel_delta_t_exp,
         "window": list(rep.window),
         "late_window": list(rep.late_window),
-        "mean_ratio": {var: float(rep.mean_ratio[i]) for i, var in enumerate(VARIABLES)},
-        "late_ratio": {var: float(rep.late_ratio[i]) for i, var in enumerate(VARIABLES)},
-        "max_rel_change": {var: float(rep.max_rel_change[i])
-                           for i, var in enumerate(VARIABLES)},
+        "mean_ratio": _by_variable(rep.mean_ratio),
+        "late_ratio": _by_variable(rep.late_ratio),
+        "max_rel_change": _by_variable(rep.max_rel_change),
         "verdicts": rep.verdicts,
     })
     _echo_config(out, args, params, param=args.param, factor=args.factor,

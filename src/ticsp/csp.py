@@ -32,12 +32,13 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .integrator import Trajectory, evaluate_dense, locate_event
+from .integrator import Trajectory, dense_states, evaluate_dense, locate_event
 from .kinetics import (
     N_PROCESSES,
     STOICHIOMETRY,
     State,
     jacobian_array,
+    jacobian_batch,
     process_rates,
     rhs_array,
 )
@@ -47,9 +48,11 @@ __all__ = [
     "DecompositionError", "ModeDecomposition", "DiagnosticsRecord",
     "ExplosiveStage", "decompose", "api", "tpi", "pointer", "importance",
     "exhausted_count", "explosive_stage", "track_modes", "diagnostics_record",
+    "mode_eigenvalues",
 ]
 
 _COND_LIMIT = 1e12
+_T_BOUNDARY = 1e-300  # stand-in for T = 0 in linearisations (the T -> 0+ limit)
 
 
 class DecompositionError(RuntimeError):
@@ -126,33 +129,72 @@ class DiagnosticsRecord:
 
 
 def _pair_up(w: np.ndarray, V: np.ndarray):
-    """Sort modes fastest-first and convert conjugate pairs to real vectors."""
+    """Sort modes fastest-first and convert conjugate pairs to real vectors.
+
+    Works on stacks: eigenvalues w (n, 4) and right eigenvectors V
+    (n, 4, 4) as columns.  Returns the sorted eigenvalues, the real right
+    bases and each mode's conjugate partner (-1 for a real mode).
+    """
     # descending |lambda| (ascending tau); ties: dissipative before explosive
     order = np.lexsort((w.real >= 0.0, -np.abs(w)))
-    w, V = w[order], V[:, order]
+    w = np.take_along_axis(w, order, axis=-1)
+    V = np.take_along_axis(V, order[:, None, :], axis=-1)
 
-    alpha = np.empty((4, 4))
-    lam = np.empty(4, dtype=complex)
-    partner: list = [None] * 4
-    i = 0
-    while i < 4:
-        if abs(w[i].imag) > 0.0:
-            if i == 3 or abs(w[i + 1] - np.conj(w[i])) > 1e-8 * abs(w[i]):
-                raise DecompositionError(
-                    "complex eigenvalue without an adjacent conjugate partner"
-                )
-            lead = i if w[i].imag > 0 else i + 1
-            v = V[:, lead]
-            alpha[:, i] = v.real
-            alpha[:, i + 1] = v.imag
-            lam[i], lam[i + 1] = w[lead], np.conj(w[lead])
-            partner[i], partner[i + 1] = i + 1, i
-            i += 2
-        else:
-            alpha[:, i] = V[:, i].real
-            lam[i] = w[i].real
-            i += 1
-    return lam, alpha, tuple(partner)
+    lam = w.real.astype(complex)
+    alpha = V.real.copy()
+    partner = np.full(w.shape, -1)
+    second = np.zeros(len(w), dtype=bool)   # slot i holds a pair's second half
+    for i in range(4):
+        rows = np.nonzero(~second & (np.abs(w[:, i].imag) > 0.0))[0]
+        second[:] = False
+        if len(rows) == 0:
+            continue
+        if i == 3 or np.any(np.abs(w[rows, i + 1] - np.conj(w[rows, i]))
+                            > 1e-8 * np.abs(w[rows, i])):
+            raise DecompositionError(
+                "complex eigenvalue without an adjacent conjugate partner"
+            )
+        lead = np.where(w[rows, i].imag > 0, i, i + 1)
+        v = V[rows, :, lead]
+        alpha[rows, :, i] = v.real
+        alpha[rows, :, i + 1] = v.imag
+        lam[rows, i] = w[rows, lead]
+        lam[rows, i + 1] = np.conj(w[rows, lead])
+        partner[rows, i], partner[rows, i + 1] = i + 1, i
+        second[rows] = True
+    return lam, alpha, partner
+
+
+def _real_modes(J: np.ndarray):
+    """`_pair_up` of a stack of Jacobians (n, 4, 4), refusing near-defective
+    eigenbases (condition number above `_COND_LIMIT`)."""
+    lam, alpha, partner = _pair_up(*np.linalg.eig(J))
+    cond = np.linalg.cond(alpha)
+    if np.any(cond > _COND_LIMIT):
+        raise DecompositionError(
+            f"near-defective Jacobian: eigenbasis condition number "
+            f"{cond.max():.3e} exceeds {_COND_LIMIT:.0e}"
+        )
+    return lam, alpha, partner
+
+
+def _boundary_jacobians(Y, params: ParameterSet) -> np.ndarray:
+    """Jacobians at a stack of states (n, 4).  Boundary states (tumor
+    clipped to zero by the integrator) are evaluated in the attracting
+    limit T -> 0+."""
+    Z = np.array(Y, dtype=float)
+    Z[Z[:, 0] == 0.0, 0] = _T_BOUNDARY
+    return jacobian_batch(Z, params)
+
+
+def mode_eigenvalues(Y, params: ParameterSet) -> np.ndarray:
+    """Eigenvalues (n, 4), fastest mode first, at each state row of Y.
+
+    Same ordering, conjugate pairing and conditioning check as
+    `decompose`, for a whole trajectory at once.
+    """
+    lam, _, _ = _real_modes(_boundary_jacobians(Y, params))
+    return lam
 
 
 def decompose(state: State, params: ParameterSet, canonicalize: bool = True) -> ModeDecomposition:
@@ -165,15 +207,7 @@ def decompose(state: State, params: ParameterSet, canonicalize: bool = True) -> 
     entry is positive.
     """
     y = state.array()
-    J = jacobian_array(y, params)
-    w, V = np.linalg.eig(J)
-    lam, alpha, partner = _pair_up(w, V)
-
-    if np.linalg.cond(alpha) > _COND_LIMIT:
-        raise DecompositionError(
-            f"near-defective Jacobian: eigenbasis condition number "
-            f"{np.linalg.cond(alpha):.3e} exceeds {_COND_LIMIT:.0e}"
-        )
+    lam, alpha, partner = (a[0] for a in _real_modes(jacobian_array(y, params)[None]))
     beta = np.linalg.inv(alpha)
     amplitudes = beta @ rhs_array(y, params)
 
@@ -185,7 +219,7 @@ def decompose(state: State, params: ParameterSet, canonicalize: bool = True) -> 
         timescales=1.0 / np.abs(lam),
         amplitudes=amplitudes,
         explosive=lam.real > 0.0,
-        complex_pair=partner,
+        complex_pair=tuple(None if j < 0 else int(j) for j in partner),
     )
     if canonicalize:
         terms = (beta @ STOICHIOMETRY) * process_rates(state, params).rates[None, :]
@@ -290,31 +324,19 @@ def exhausted_count(decomp: ModeDecomposition, state: State,
     return 0
 
 
-def boundary_state(state: State) -> State:
-    """A copy safe for linearization: boundary states (tumor clipped to
-    zero by the integrator) are evaluated in the attracting limit T -> 0+."""
-    if state.T > 0.0:
-        return state
-    return State(state.t, 1e-300, state.N, state.L, state.C)
-
-
-def _max_growth_rate(y: np.ndarray, params: ParameterSet) -> float:
-    """Largest Re(lambda) of the Jacobian; boundary states (tumor clipped
-    to zero) are evaluated in the attracting limit T -> 0+."""
-    z = np.maximum(np.asarray(y, dtype=float), 0.0)
-    if z[0] == 0.0:
-        z[0] = 1e-300
-    return float(np.linalg.eigvals(jacobian_array(z, params)).real.max())
+def _growth_rates(Y, params: ParameterSet) -> np.ndarray:
+    """Largest Re(lambda) of the Jacobian at each state row of Y."""
+    return np.linalg.eigvals(_boundary_jacobians(Y, params)).real.max(axis=1)
 
 
 def explosive_stage(traj: Trajectory, params: ParameterSet,
                     refine_tol: float = 1e-4, subdivide: int = 4) -> Optional[ExplosiveStage]:
     """First interval where the Jacobian has a positive-growth eigenvalue.
 
-    Scans the dense output (grid refined `subdivide`-fold), locates the
-    sign changes of max Re lambda to `refine_tol` days, and reports the
-    first interval; its end is the explosive-timescale end time t_exp.
-    Returns None when every scanned state is dissipative.
+    Scans the dense output (grid refined `subdivide`-fold) in one batch,
+    locates the sign changes of max Re lambda to `refine_tol` days, and
+    reports the first interval; its end is the explosive-timescale end
+    time t_exp.  Returns None when every scanned state is dissipative.
     """
     base = traj.t
     if len(base) < 2:
@@ -322,14 +344,12 @@ def explosive_stage(traj: Trajectory, params: ParameterSet,
     times = np.unique(np.concatenate(
         [np.linspace(base[i], base[i + 1], subdivide + 1) for i in range(len(base) - 1)]
     ))
-    vals = np.array([_max_growth_rate(evaluate_dense(traj, t).array(), params)
-                     for t in times])
-    inside = vals > 0.0
+    inside = _growth_rates(dense_states(traj, times), params) > 0.0
     if not np.any(inside):
         return None
 
     first = int(np.argmax(inside))
-    event = lambda s: _max_growth_rate(s.array(), params)
+    event = lambda s: float(_growth_rates(s.array()[None], params)[0])
     if first == 0:
         start = float(times[0])
     else:

@@ -18,26 +18,23 @@ import numpy as np
 from .csp import (
     DiagnosticsRecord,
     ExplosiveStage,
-    boundary_state,
-    decompose,
     diagnostics_record,
     explosive_stage,
+    mode_eigenvalues,
 )
 from .equilibria import Equilibrium, find_hte, tfe
 from .integrator import (
+    IntegrationError,
     IntegratorConfig,
     Trajectory,
     classify_attractor,
     evaluate_dense,
     integrate,
     settle_attractor,
-    stable_equilibria,
 )
-from .kinetics import State
+from .kinetics import VARIABLES, State
 from .params import DEFAULT_PARAMETERS, ParameterSet
 from .reduction import ConstraintErrorSeries, constraint_errors
-
-VARIABLES = ("T", "N", "L", "C")
 
 #: t/t_exp sampling points for the standard diagnostics checkpoints.
 CHECKPOINTS = (0.0, 0.2, 0.5, 0.8)
@@ -140,6 +137,12 @@ class ScenarioResult:
     def t_exp(self) -> Optional[float]:
         return None if self.stage is None else self.stage.t_exp
 
+    @property
+    def stable_equilibria(self) -> list[Equilibrium]:
+        """The attractors runs are classified against: the stable members
+        of `equilibria`."""
+        return [eq for eq in self.equilibria if eq.stable]
+
     def checkpoint(self, frac: float) -> DiagnosticsRecord:
         for rec in self.records:
             if abs(rec.t_over_texp - frac) < 1e-12:
@@ -148,16 +151,9 @@ class ScenarioResult:
 
 
 def timescale_table(traj: Trajectory, params: ParameterSet) -> TimescaleTable:
-    n = len(traj)
-    tau = np.empty((n, 4))
-    re = np.empty((n, 4))
-    flag = np.zeros(n, dtype=bool)
-    for i in range(n):
-        dec = decompose(boundary_state(traj.state(i)), params)
-        tau[i] = dec.timescales
-        re[i] = dec.eigenvalues.real
-        flag[i] = bool(dec.explosive.any())
-    return TimescaleTable(t=traj.t.copy(), tau=tau, re_lambda=re, explosive=flag)
+    lam = mode_eigenvalues(traj.y, params)
+    return TimescaleTable(t=traj.t.copy(), tau=1.0 / np.abs(lam), re_lambda=lam.real,
+                          explosive=np.any(lam.real > 0.0, axis=1))
 
 
 def run_scenario(scenario: Scenario | str,
@@ -174,6 +170,9 @@ def run_scenario(scenario: Scenario | str,
     classified only from the final state and may come back None on horizons
     too short to approach an equilibrium; otherwise an unclassified run is
     integrated further until it settles (and raises if it never does).
+    An integration that stops before the horizon raises IntegrationError.
+    The stage and the equilibria are computed once and shared by every
+    derived quantity.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -181,6 +180,11 @@ def run_scenario(scenario: Scenario | str,
     cfg = config or IntegratorConfig(t_end=scenario.t_end)
 
     traj = integrate(scenario.state, p, cfg)
+    if not traj.complete:
+        raise IntegrationError(
+            f"scenario {scenario.name!r}: integration stopped at "
+            f"t = {traj.t[-1]:.6g} of {cfg.t_end:.6g} days ({traj.stats.message})"
+        )
     stage = explosive_stage(traj, p)
     records = []
     if stage is not None:
@@ -188,19 +192,19 @@ def run_scenario(scenario: Scenario | str,
             s = evaluate_dense(traj, frac * stage.t_exp)
             records.append(diagnostics_record(s, p, t_over_texp=frac, fixed_M=fixed_M))
 
-    targets = stable_equilibria(p)
+    equilibria = (tfe(p)[0], *find_hte(p))
+    targets = [eq for eq in equilibria if eq.stable]
     attractor = classify_attractor(traj.y[-1], targets)
     if attractor is None and settle:
         attractor = settle_attractor(traj.y[-1], p, cfg, targets)
 
-    equilibria = (tfe(p)[0], *find_hte(p))
     return ScenarioResult(
         scenario=scenario,
         params=p,
         trajectory=traj,
         stage=stage,
         records=tuple(records),
-        errors=constraint_errors(traj, p),
+        errors=constraint_errors(traj, p, stage),
         equilibria=equilibria,
         attractor=attractor,
         timescales=timescale_table(traj, p),

@@ -24,7 +24,7 @@ from .params import ParameterSet
 
 __all__ = [
     "IntegratorConfig", "SolverStats", "Trajectory", "IntegrationError",
-    "integrate", "evaluate_dense", "locate_event", "basin_threshold",
+    "integrate", "evaluate_dense", "dense_states", "locate_event", "basin_threshold",
     "stable_equilibria", "classify_attractor", "settle_attractor",
 ]
 
@@ -190,6 +190,18 @@ def _dense_vector(traj: Trajectory, t: float) -> np.ndarray:
 def evaluate_dense(traj: Trajectory, t: float) -> State:
     """State at any time inside the trajectory span (dense interpolant)."""
     return State.from_array(t, _dense_vector(traj, float(t)))
+
+
+def dense_states(traj: Trajectory, times) -> np.ndarray:
+    """States (n, 4) at many times inside the span, from one interpolant call."""
+    times = np.asarray(times, dtype=float)
+    lo, hi = traj.span
+    if np.any(times < lo) or np.any(times > hi):
+        raise ValueError(f"times outside trajectory span [{lo}, {hi}]")
+    Z = np.asarray(traj.dense(times), dtype=float).T
+    if traj.expand is not None:
+        Z = np.array([traj.expand(z) for z in Z])
+    return _clip_undershoot(Z, traj.atol, "evaluate_dense")
 
 
 def locate_event(

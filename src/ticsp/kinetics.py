@@ -43,6 +43,7 @@ __all__ = [
     "VARIABLES", "N_PROCESSES", "STOICHIOMETRY", "PROCESS_LABELS",
     "DomainError", "State", "ProcessSet",
     "d_saturation", "process_rates", "rhs", "jacobian", "rate_jacobian_term",
+    "jacobian_batch",
 ]
 
 VARIABLES = ("T", "N", "L", "C")
@@ -249,6 +250,71 @@ def jacobian_array(y, p: ParameterSet) -> np.ndarray:
     T, N, L, C = (float(v) for v in y)
     _require_dynamic(T, N, L, C)
     _, G, _ = _rates_grads(T, N, L, C, p, want_grads=True)
+    return STOICHIOMETRY @ G
+
+
+# -- batch entry point (scans along a trajectory) -------------------------------
+
+def jacobian_batch(Y, p: ParameterSet) -> np.ndarray:
+    """Jacobians of a stack of states: (n, 4) -> (n, 4, 4).
+
+    The vectorised twin of `jacobian_array` (which stays the solver's
+    per-state kernel and the reference this one is tested against), with
+    the same domain checks on every row.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != 4:
+        raise ValueError(f"expected states of shape (n, 4), got {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise DomainError("non-finite population in a batch of states")
+    T, N, L, C = Y.T
+    if not np.all(T > 0.0):
+        raise DomainError(f"T = {T.min()!r}: dynamics require T > 0")
+    if np.any(Y[:, 1:] < 0.0):
+        raise DomainError(f"negative population (min {Y[:, 1:].min()!r}) in (N, L, C)")
+
+    # _saturation on both branches at once; L = 0 falls in the L < T branch
+    # with x = 0, which gives D = 0 and sigma = 1 exactly.
+    hi = L >= T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(hi, T / L, L / T) ** p.l
+        denom = np.where(hi, 1.0 + p.s * x, p.s + x)
+        sigma = np.where(hi, p.s * x, p.s) / denom
+        D = p.d * (np.where(hi, 1.0, x) / denom)
+        dV_dL = np.where(L > 0.0, p.l * D * sigma * T / L, 0.0)
+    dV_dT = D * (1.0 - p.l * sigma)
+
+    T2 = T * T
+    rec9 = T2 / (p.h + T2)
+    V = D * T
+    W = V * V
+    rec10 = W / (p.k + W)
+    dR10_dV = p.j * L * 2.0 * V * p.k / (p.k + W) ** 2
+
+    G = np.zeros((len(Y), N_PROCESSES, 4))
+    G[:, 0, 0] = p.a * (1.0 - 2.0 * p.b * T)
+    G[:, 1, 3] = p.e
+    G[:, 3, 1] = p.f
+    G[:, 4, 2] = p.m
+    G[:, 5, 3] = p.beta
+    G[:, 6, 0] = p.c * N
+    G[:, 6, 1] = p.c * T
+    G[:, 7, 0] = dV_dT
+    G[:, 7, 2] = dV_dL
+    G[:, 8, 0] = p.g * N * 2.0 * T * p.h / (p.h + T2) ** 2
+    G[:, 8, 1] = p.g * rec9
+    G[:, 9, 0] = dR10_dV * dV_dT
+    G[:, 9, 2] = p.j * rec10 + dR10_dV * dV_dL
+    G[:, 10, 0] = p.r1 * N
+    G[:, 10, 1] = p.r1 * T
+    G[:, 11, 0] = p.r2 * C
+    G[:, 11, 3] = p.r2 * T
+    G[:, 12, 0] = p.p * N
+    G[:, 12, 1] = p.p * T
+    G[:, 13, 0] = p.q * L
+    G[:, 13, 2] = p.q * T
+    G[:, 14, 1] = p.u * L * L
+    G[:, 14, 2] = 2.0 * p.u * N * L
     return STOICHIOMETRY @ G
 
 

@@ -16,18 +16,19 @@ higher-order four-component right-hand side kept for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .csp import ExplosiveStage
+from .equilibria import Equilibrium
 from .integrator import (
     IntegrationError,
     IntegratorConfig,
     SolverStats,
     Trajectory,
     _clip_undershoot,
-    stable_equilibria,
 )
 from .kinetics import DomainError, State, _saturation
 from .params import ParameterSet
@@ -112,17 +113,17 @@ class ConstraintErrorSeries:
     mean_re_l: Optional[float] = None
 
 
-def constraint_errors(traj: Trajectory, p: ParameterSet) -> ConstraintErrorSeries:
-    """Constraint errors on the output grid, with explosive-window summary."""
-    from .csp import explosive_stage  # deferred: csp imports integrator
-
+def constraint_errors(traj: Trajectory, p: ParameterSet,
+                      stage: Optional[ExplosiveStage]) -> ConstraintErrorSeries:
+    """Constraint errors on the output grid, summarized over the window of
+    the trajectory's explosive stage (`csp.explosive_stage`; None: no
+    window)."""
     T, N, L, C = (traj.y[:, i] for i in range(4))
     with np.errstate(divide="ignore", invalid="ignore"):
         N_hat, L_hat = _constraint_arrays(np.where(T > 0, T, np.nan), C, p)
         re_n = (N - N_hat) / np.where(N > 0, N, np.nan)
         re_l = (L - L_hat) / np.where(L > 0, L, np.nan)
 
-    stage = explosive_stage(traj, p)
     if stage is None:
         return ConstraintErrorSeries(t=traj.t, re_n=re_n, re_l=re_l,
                                      t_exp=None, window=None)
@@ -291,12 +292,13 @@ def _nearest_attractor_tc(y: np.ndarray, targets) -> Optional[str]:
     return best
 
 
-def compare_reduced(full: Trajectory, red: Trajectory) -> ReducedComparison:
+def compare_reduced(full: Trajectory, red: Trajectory,
+                    stage: Optional[ExplosiveStage],
+                    targets: Sequence[Equilibrium]) -> ReducedComparison:
     """Per-variable relative errors of the reduced run, summarized over the
-    explosive-stage window of the full trajectory."""
-    from .csp import explosive_stage
-
-    p = full.params
+    window of `stage`, the full trajectory's explosive stage (None: no
+    window).  Both final states are labelled by the nearest of `targets`,
+    the stable equilibria."""
     lo = max(full.t[0], red.t[0])
     hi = min(full.t[-1], red.t[-1])
     sel = (full.t >= lo) & (full.t <= hi)
@@ -309,7 +311,6 @@ def compare_reduced(full: Trajectory, red: Trajectory) -> ReducedComparison:
                        else red.dense(tt) for tt in t])
     rel = np.abs(yr - yf) / np.maximum(np.abs(yf), 1.0)
 
-    stage = explosive_stage(full, p)
     window = max_err = mean_err = None
     if stage is not None:
         wlo, whi = 0.2 * stage.end, 0.95 * stage.end
@@ -319,7 +320,6 @@ def compare_reduced(full: Trajectory, red: Trajectory) -> ReducedComparison:
             max_err = rel[wsel].max(axis=0)
             mean_err = rel[wsel].mean(axis=0)
 
-    targets = stable_equilibria(p)
     return ReducedComparison(
         t=t, rel_err=rel, window=window, max_err=max_err, mean_err=mean_err,
         full_attractor=_nearest_attractor_tc(full.final, targets),

@@ -1,4 +1,9 @@
-"""Shared test utilities: random feasible states and a finite-difference Jacobian."""
+"""Shared test utilities: random feasible states, a finite-difference
+Jacobian, and call counting across the package's modules."""
+import importlib
+import sys
+from collections import Counter
+
 import numpy as np
 
 from ticsp import State
@@ -51,3 +56,25 @@ def assert_jacobian_close(J, J_ref, y, rtol=1e-6):
     assert np.all(scaled_err <= rtol * row_scale[:, None]), (
         scaled_err / row_scale[:, None]
     )
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of ticsp functions named "module.function", however they
+    are reached: each is rebound in every loaded ticsp module that holds a
+    reference to it (the `from .x import f` bindings included)."""
+    counts = Counter()
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "ticsp" or n.startswith("ticsp."))]
+    for name in names:
+        module, attr = name.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"ticsp.{module}"), attr)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, counted)
+    return counts

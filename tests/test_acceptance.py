@@ -151,7 +151,7 @@ def test_criterion_09_reduced_model(scenario_results):
         res = scenario_results[name]
         scn = res.scenario
         red = simulate_reduced(scn.T0, scn.C0, res.params)
-        rep = compare_reduced(res.trajectory, red)
+        rep = compare_reduced(res.trajectory, red, res.stage, res.stable_equilibria)
         assert rep.attractor_agreement, name
         assert rep.full_attractor == scn.expect, name
         assert red.effective.count == 10

@@ -9,6 +9,8 @@ import pytest
 from ticsp import DEFAULT_PARAMETERS
 from ticsp.cli import main
 
+from helpers import count_calls
+
 P = DEFAULT_PARAMETERS
 
 
@@ -143,6 +145,26 @@ def test_reduce_outputs(tmp_path):
     assert summary["attractor_agreement"] is True
     assert summary["effective_parameter_count"] == 10
     assert summary["max_rel_err"]["C"] < 1e-9
+
+
+def test_reduce_without_explosive_stage(tmp_path):
+    scenario = tmp_path / "nostage.json"
+    scenario.write_text(json.dumps({"name": "nostage", "T0": 1, "N0": 1e5, "L0": 1e6,
+                                    "C0": 6e10, "expect": "TFE"}))
+    out = tmp_path / "red"
+    assert run_cli("reduce", "--scenario-file", scenario, "--out", out) == 0
+    summary = json.loads((out / "reduce_summary.json").read_text())
+    assert summary["window"] is None
+    assert summary["max_rel_err"] is None and summary["mean_rel_err"] is None
+    assert summary["full_attractor"] == "TFE"
+    assert (out / "reduced_trajectory.csv").exists()
+    assert (out / "constraint_errors.csv").exists()
+
+
+def test_reduce_computes_stage_and_equilibria_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, "csp.explosive_stage", "equilibria.find_hte")
+    assert run_cli("reduce", "--scenario", "TR", "--out", tmp_path / "red") == 0
+    assert calls == {"csp.explosive_stage": 1, "equilibria.find_hte": 1}
 
 
 # ---------------------------------------------------------------------------

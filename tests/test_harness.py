@@ -1,4 +1,5 @@
 """Scenario bundles, perturbation comparisons, and table reporting."""
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,9 @@ from ticsp.harness import (
     run_scenarios,
     scenario_from_json,
 )
-from ticsp.integrator import IntegratorConfig
+from ticsp.integrator import IntegrationError, IntegratorConfig, integrate
+
+from helpers import count_calls
 
 P = DEFAULT_PARAMETERS
 
@@ -145,6 +148,26 @@ def test_short_horizon_attractor_handling():
     assert res.stage is not None  # diagnostics unaffected by the short tail
     with pytest.raises(RuntimeError, match="settle"):
         run_scenario("TP", config=cfg)
+
+
+def test_partial_integration_raises(monkeypatch):
+    import ticsp.harness
+
+    def partial(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        n = len(traj) // 2  # as if the step size had collapsed mid-run
+        return dataclasses.replace(traj, t=traj.t[:n], y=traj.y[:n], complete=False)
+
+    monkeypatch.setattr(ticsp.harness, "integrate", partial)
+    with pytest.raises(IntegrationError, match="integration stopped"):
+        run_scenario("TR", config=IntegratorConfig(t_end=5.0), settle=False)
+
+
+def test_stage_and_equilibria_computed_once(monkeypatch):
+    calls = count_calls(monkeypatch, "csp.explosive_stage", "equilibria.find_hte")
+    res = run_scenario("TR")
+    assert res.stage is not None and res.attractor == "TFE"
+    assert calls == {"csp.explosive_stage": 1, "equilibria.find_hte": 1}
 
 
 def test_threaded_runs_match_serial():

@@ -16,6 +16,7 @@ from ticsp import (
     rate_jacobian_term,
     rhs,
 )
+from ticsp.kinetics import jacobian_batch
 from helpers import assert_jacobian_close, fd_jacobian, random_states
 
 P = DEFAULT_PARAMETERS
@@ -142,6 +143,17 @@ def test_domain_errors():
         rhs(State(0.0, 0.0, 1e3, 10.0, 6e8), P)  # T = 0 representable, not evaluable
     with pytest.raises(DomainError):
         d_saturation(State(0.0, 0.0, 1e3, 10.0, 6e8), P)
+
+
+@pytest.mark.parametrize("bad", [
+    [0.0, 1e3, 10.0, 6e8],       # T = 0
+    [1e6, -1.0, 10.0, 6e8],      # negative population
+    [1e6, 1e3, np.nan, 6e8],     # non-finite entry
+    [1e6, 1e3, 10.0, np.inf],
+])
+def test_batch_domain_errors(bad):
+    with pytest.raises(DomainError):
+        jacobian_batch(np.array([REF_STATE.array(), bad]), P)
 
 
 def test_stoichiometry_is_constant_integer():

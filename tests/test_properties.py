@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from ticsp import DEFAULT_PARAMETERS, State
 from ticsp.csp import api, decompose, pointer, tpi
-from ticsp.kinetics import d_saturation, process_rates, rhs_array
+from ticsp.kinetics import (
+    d_saturation,
+    jacobian_array,
+    jacobian_batch,
+    process_rates,
+    rhs_array,
+)
 
 P = DEFAULT_PARAMETERS
 
@@ -86,3 +92,25 @@ def test_lysis_saturation_bounded_and_monotone(T, L, factor):
     assert 0.0 <= d_lo <= P.d
     assert 0.0 <= d_hi <= P.d
     assert d_hi >= d_lo  # more effectors, more killing
+
+
+@given(
+    feasible_states,
+    st.floats(min_value=-6.0, max_value=-1e-3, allow_nan=False),
+    st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+)
+@settings(**COMMON)
+def test_jacobian_batch_matches_scalar_kernel(state, below, above):
+    # one stack covering both saturation branches (L < T, L >= T), L = 0 and
+    # the T = 1e-300 row the stage scan uses for a tumor clipped to zero
+    T, N, L, C = state.T, state.N, state.L, state.C
+    Y = np.array([
+        [T, N, L, C],
+        [T, N, 0.0, C],
+        [T, N, T * 10.0 ** below, C],
+        [T, N, T * 10.0 ** above, C],
+        [1e-300, N, L, C],
+    ])
+    for y, J in zip(Y, jacobian_batch(Y, P)):
+        ref = jacobian_array(y, P)
+        assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ticsp import DEFAULT_PARAMETERS, State
-from ticsp.csp import decompose
+from ticsp.csp import decompose, explosive_stage
 from ticsp.equilibria import find_hte
-from ticsp.integrator import evaluate_dense, integrate
+from ticsp.integrator import evaluate_dense, integrate, stable_equilibria
 from ticsp.kinetics import DomainError
 from ticsp.reduction import (
     EffectiveParameters,
@@ -31,7 +31,7 @@ def tp_traj():
 
 @pytest.fixture(scope="module")
 def tp_errors(tp_traj):
-    return constraint_errors(tp_traj, P)
+    return constraint_errors(tp_traj, P, explosive_stage(tp_traj, P))
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,8 @@ def test_tp_constraints_persist_after_stage(tp_traj, tp_errors):
 
 
 def test_tr_constraint_errors_in_window():
-    ce = constraint_errors(integrate(TR0, P), P)
+    traj = integrate(TR0, P)
+    ce = constraint_errors(traj, P, explosive_stage(traj, P))
     assert ce.window is not None
     assert ce.max_re_n < 0.05
     assert ce.max_re_l < 0.05
@@ -136,7 +137,8 @@ def test_higher_rhs_domain():
 # Reduced simulation
 
 def test_reduced_tp_matches_full(tp_traj, tp_reduced):
-    rep = compare_reduced(tp_traj, tp_reduced)
+    rep = compare_reduced(tp_traj, tp_reduced, explosive_stage(tp_traj, P),
+                          stable_equilibria(P))
     assert rep.attractor_agreement
     assert rep.full_attractor == "HTE"
     assert rep.window is not None
@@ -148,7 +150,7 @@ def test_reduced_tp_matches_full(tp_traj, tp_reduced):
 def test_reduced_tr_reaches_tumor_free():
     full = integrate(TR0, P)
     red = simulate_reduced(1e7, 4e10, P)
-    rep = compare_reduced(full, red)
+    rep = compare_reduced(full, red, explosive_stage(full, P), stable_equilibria(P))
     assert rep.attractor_agreement
     assert rep.full_attractor == "TFE"
 
@@ -188,7 +190,8 @@ def test_reduced_rejects_bad_start():
 
 
 def test_compare_identical_is_zero(tp_traj):
-    rep = compare_reduced(tp_traj, tp_traj)
+    rep = compare_reduced(tp_traj, tp_traj, explosive_stage(tp_traj, P),
+                          stable_equilibria(P))
     assert np.all(rep.rel_err == 0.0)
     assert rep.attractor_agreement
 
