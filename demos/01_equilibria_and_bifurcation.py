@@ -33,12 +33,12 @@ print(f"\nAnalytic stability threshold for the lysis capacity: d* = {d_star:.8f}
 print(f"Fitted d = {P.d} -> tumor-free state stable: {tfe_stable(P)}")
 
 print("\n=== Sweep d across the threshold ===")
-scan = bifurcation_scan(P, "d", (0.05, 1.0), 40, jobs=4)
+scan = bifurcation_scan(P, "d", (0.05, 1.0), 40)
 print(f"scanner refines the stability flip to d = {scan.transcritical:.8f}")
 print(f"matches the analytic value to {abs(scan.transcritical - d_star):.2e}")
 
 print("\n=== Sweep d far up: the high-tumor pair disappears ===")
-wide = bifurcation_scan(P, "d", (2.34, 2000.0), 60, log=True, jobs=4)
+wide = bifurcation_scan(P, "d", (2.34, 2000.0), 60, log=True)
 print(f"last swept d still carrying two high-tumor branches: {wide.saddle_node:.1f}")
 print(f"high-tumor equilibria at d = 1200: {find_hte(P.replace(d=1200.0))}")
 print("\nPast the fold, every trajectory ends tumor-free -- lysis capacity")

@@ -101,7 +101,6 @@ def _echo_config(out: Path, args, params: ParameterSet, **extras) -> None:
         "parameters": params.to_dict(),
         "rtol": args.rtol,
         "atol": args.atol,
-        "jobs": args.jobs,
         "fixed_M": args.fixed_M,
     }
     echo.update(extras)
@@ -161,8 +160,8 @@ def _write_constraint_errors(out: Path, errors) -> None:
 def cmd_simulate(args) -> int:
     scn = _scenario_from_args(args)
     if args.t_end is not None:
-        if not args.t_end > 0.0:
-            raise ValueError("--t-end must be positive")
+        if not 0.0 < args.t_end < np.inf:
+            raise ValueError("--t-end must be positive and finite")
         scn = dataclasses.replace(scn, t_end=args.t_end)
     params = _params_for(args, scn)
     out = _out_dir(args, scn.name)
@@ -198,7 +197,7 @@ def cmd_bifurcate(args) -> int:
     params = _params_for(args)
     out = _out_dir(args, "bifurcate")
     scan = bifurcation_scan(params, args.param, (args.start, args.stop),
-                            args.steps, log=args.log, jobs=args.jobs)
+                            args.steps, log=args.log)
     rows = (
         [args.param, _g(v), str(bid), _g(t_star), str(int(stable)), branch.kind]
         for bid, branch in enumerate(scan.branches)
@@ -352,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integrator relative tolerance")
     common.add_argument("--atol", type=float, default=1e-6,
                         help="integrator absolute tolerance")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for parallelizable sweeps")
     common.add_argument("--fixed-M", dest="fixed_M", type=int, default=None,
                         help="pin the exhausted-mode count for importance indices")
 

@@ -21,7 +21,6 @@ bracketing never manufactures spurious roots at feasibility boundaries.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -196,28 +195,22 @@ def find_hte(
     p: ParameterSet,
     t_range: tuple[float, float] = (1.0, 1e10),
     grid_points: int = 400,
-    jobs: Optional[int] = None,
 ) -> list[Equilibrium]:
     """All feasible high-tumor equilibria with T* in `t_range`, sorted by T*.
 
     Scans a log-spaced grid for sign changes of `hte_residual`, refines
-    each bracket to 1e-10 relative tolerance in T*, reconstructs the full
-    state, and classifies stability.  An empty list is a valid outcome
-    (e.g. past the saddle-node).
+    each bracket with `brentq` to 4 eps relative tolerance in T*,
+    reconstructs the full state, and classifies stability.  An empty list
+    is a valid outcome (e.g. past the saddle-node).
     """
     lo, hi = t_range
     if not 0.0 < lo < hi:
         raise ValueError(f"invalid t_range {t_range}")
     grid = np.geomspace(lo, hi, int(grid_points))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            F = np.array(list(pool.map(lambda T: hte_residual(T, p), grid)))
-    else:
-        F = np.array([hte_residual(T, p) for T in grid])
+    F = np.array([hte_residual(T, p) for T in grid])
 
     # Refine to machine precision: the returned states must satisfy the
-    # equilibrium conditions to ~1e-10 of the population scale, which is
-    # far tighter than the 1e-10 relative bracket in T* alone.
+    # equilibrium conditions to ~1e-10 of the population scale.
     roots: list[float] = []
     for i in range(len(grid) - 1):
         if F[i] == 0.0:
@@ -274,7 +267,6 @@ def bifurcation_scan(
     t_range: tuple[float, float] = (1.0, 1e10),
     grid_points: int = 400,
     log: bool = False,
-    jobs: Optional[int] = None,
 ) -> BifurcationScan:
     """Sweep one rate constant and assemble equilibrium branches.
 
@@ -295,11 +287,7 @@ def bifurcation_scan(
         q = p.replace(**{parameter: float(value)})
         return tfe_stable(q), find_hte(q, t_range, grid_points)
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            results = list(pool.map(sweep_one, values))
-    else:
-        results = [sweep_one(v) for v in values]
+    results = [sweep_one(v) for v in values]
 
     tfe_branch = BifurcationBranch("TFE", [float(v) for v in values],
                                    [0.0] * len(values),

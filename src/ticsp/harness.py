@@ -8,7 +8,6 @@ perturbed runs with directional verdicts recomputed from the trajectories.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,8 +61,8 @@ class Scenario:
     params: Optional[ParameterSet] = None  # overrides the run-time default
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError(f"scenario {self.name!r}: t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"scenario {self.name!r}: t_end must be positive and finite")
         if self.expect not in (None, "TFE", "HTE"):
             raise ValueError(f"scenario {self.name!r}: expect must be TFE, HTE or None")
 
@@ -170,7 +169,9 @@ def run_scenario(scenario: Scenario | str,
     classified only from the final state and may come back None on horizons
     too short to approach an equilibrium; otherwise an unclassified run is
     integrated further until it settles (and raises if it never does).
-    An integration that stops before the horizon raises IntegrationError.
+    An integration that stops before the horizon raises IntegrationError;
+    a classified attractor other than the scenario's `expect` raises
+    RuntimeError.
     The stage and the equilibria are computed once and shared by every
     derived quantity.
     """
@@ -197,6 +198,9 @@ def run_scenario(scenario: Scenario | str,
     attractor = classify_attractor(traj.y[-1], targets)
     if attractor is None and settle:
         attractor = settle_attractor(traj.y[-1], p, cfg, targets)
+    if scenario.expect and attractor and attractor != scenario.expect:
+        raise RuntimeError(f"scenario {scenario.name!r}: run classified as {attractor}, "
+                           f"expected {scenario.expect}")
 
     return ScenarioResult(
         scenario=scenario,
@@ -209,23 +213,6 @@ def run_scenario(scenario: Scenario | str,
         attractor=attractor,
         timescales=timescale_table(traj, p),
     )
-
-
-def run_scenarios(scenarios: Sequence[Scenario | str],
-                  params: Optional[ParameterSet] = None,
-                  config: Optional[IntegratorConfig] = None,
-                  jobs: int = 1,
-                  **kwargs) -> list[ScenarioResult]:
-    """Run independent scenarios, optionally in a thread pool.
-
-    Results are merged in input order regardless of completion order.
-    """
-    if jobs <= 1 or len(scenarios) <= 1:
-        return [run_scenario(s, params, config, **kwargs) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_scenario, s, params, config, **kwargs)
-                   for s in scenarios]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------

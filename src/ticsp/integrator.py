@@ -48,10 +48,10 @@ class IntegratorConfig:
     n_linear: int = 196
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
 
     def grid(self) -> np.ndarray:
         """Strictly increasing output times from 0 to t_end."""
@@ -135,6 +135,36 @@ def _clip_undershoot(y: np.ndarray, atol: float, where: str) -> np.ndarray:
     return np.maximum(y, 0.0)
 
 
+def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
+           where: str, grid: Optional[np.ndarray] = None):
+    """The package's one Radau run, from t = 0 to t_end.
+
+    `fun` and `jac` take (t, y).  With an output `grid` the dense
+    interpolant is kept and the states on the grid are returned; without
+    one only the endpoint state is.  Returns (t, y, dense, stats) with y
+    clipped by `_clip_undershoot`.  A step-size collapse returns the
+    partial solution with status -1 in the stats.
+    """
+    sol = solve_ivp(fun, (0.0, t_end), y0, method="Radau", jac=jac,
+                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
+                    dense_output=grid is not None, t_eval=grid)
+    if sol.status not in (0, -1):
+        raise IntegrationError(f"unexpected solver status {sol.status}: {sol.message}")
+    y = sol.y.T.copy() if grid is not None else sol.y[:, -1].copy()
+    stats = SolverStats(
+        steps=max(len(sol.sol.ts) - 1, 0) if sol.sol is not None else 0,
+        nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
+        status=sol.status, message=sol.message.strip(),
+    )
+    return sol.t, _clip_undershoot(y, cfg.atol, where), sol.sol, stats
+
+
+def _full_model(params: ParameterSet):
+    """The full model's (t, y) right-hand side and Jacobian for `_radau`."""
+    return (lambda t, y: rhs_array(_shield(y), params),
+            lambda t, y: jacobian_array(_shield(y), params))
+
+
 def integrate(y0: State, params: ParameterSet, config: IntegratorConfig | None = None) -> Trajectory:
     """Solve the full model from y0 over [0, t_end].
 
@@ -148,32 +178,12 @@ def integrate(y0: State, params: ParameterSet, config: IntegratorConfig | None =
         y0 = State.from_array(0.0, np.asarray(y0, dtype=float))
     if not y0.T > 0.0:
         raise DomainError("initial state requires T > 0")
-    y0a = y0.array()
-
-    sol = solve_ivp(
-        lambda t, y: rhs_array(_shield(y), params),
-        (0.0, cfg.t_end),
-        y0a,
-        method="Radau",
-        jac=lambda t, y: jacobian_array(_shield(y), params),
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        max_step=cfg.max_step,
-        dense_output=True,
-        t_eval=cfg.grid(),
-    )
-    if sol.status not in (0, -1):
-        raise IntegrationError(f"unexpected solver status {sol.status}: {sol.message}")
-
-    y = _clip_undershoot(sol.y.T.copy(), cfg.atol, "integrate")
-    stats = SolverStats(
-        steps=max(len(sol.sol.ts) - 1, 0) if sol.sol is not None else 0,
-        nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
-        status=sol.status, message=sol.message.strip(),
-    )
+    fun, jac = _full_model(params)
+    t, y, dense, stats = _radau(fun, jac, y0.array(), cfg.t_end, cfg,
+                                "integrate", cfg.grid())
     return Trajectory(
-        model="full", params=params, t=sol.t.copy(), y=y,
-        dense=sol.sol, stats=stats, complete=(sol.status == 0), atol=cfg.atol,
+        model="full", params=params, t=t, y=y,
+        dense=dense, stats=stats, complete=(stats.status == 0), atol=cfg.atol,
     )
 
 
@@ -268,31 +278,32 @@ def stable_equilibria(params: ParameterSet,
 
 
 def classify_attractor(y: np.ndarray, targets: list[Equilibrium],
-                       tol: float = 1e-2) -> Optional[str]:
+                       tol: Optional[float] = 1e-2,
+                       mask=slice(None)) -> Optional[str]:
     """Nearest stable equilibrium by componentwise relative distance.
 
-    Returns the equilibrium kind when within `tol`, else None.
+    Only the variables selected by `mask` (an index list or boolean mask
+    over (T, N, L, C); default all four) are compared.  Returns the
+    equilibrium kind when within `tol`, else None; with `tol=None` the
+    nearest kind is returned however far it is.
     """
     best_kind, best_dist = None, np.inf
     for eq in targets:
-        dist = float(np.max(np.abs(y - eq.y) / np.maximum(1.0, np.abs(eq.y))))
+        e = eq.y[mask]
+        dist = float(np.max(np.abs(y[mask] - e) / np.maximum(1.0, np.abs(e))))
         if dist < best_dist:
             best_kind, best_dist = eq.kind, dist
-    return best_kind if best_dist < tol else None
+    return best_kind if tol is None or best_dist < tol else None
 
 
 def _final_state(y0: np.ndarray, t_end: float, params: ParameterSet,
                  cfg: IntegratorConfig) -> np.ndarray:
     """Endpoint-only integration (no dense output), for classification runs."""
-    sol = solve_ivp(
-        lambda t, y: rhs_array(_shield(y), params),
-        (0.0, t_end), y0, method="Radau",
-        jac=lambda t, y: jacobian_array(_shield(y), params),
-        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
-    )
-    if sol.status != 0:
-        raise IntegrationError(f"classification run failed: {sol.message}")
-    return _clip_undershoot(sol.y[:, -1].copy(), cfg.atol, "settle")
+    fun, jac = _full_model(params)
+    _, y, _, stats = _radau(fun, jac, y0, t_end, cfg, "settle")
+    if stats.status != 0:
+        raise IntegrationError(f"classification run failed: {stats.message}")
+    return y
 
 
 def settle_attractor(y0: State | np.ndarray, params: ParameterSet,

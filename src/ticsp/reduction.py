@@ -19,17 +19,10 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .csp import ExplosiveStage
 from .equilibria import Equilibrium
-from .integrator import (
-    IntegrationError,
-    IntegratorConfig,
-    SolverStats,
-    Trajectory,
-    _clip_undershoot,
-)
+from .integrator import IntegratorConfig, Trajectory, _radau, classify_attractor
 from .kinetics import DomainError, State, _saturation
 from .params import ParameterSet
 
@@ -39,6 +32,8 @@ __all__ = [
     "reduced_rhs_leading", "reduced_rhs_higher", "simulate_reduced",
     "compare_reduced",
 ]
+
+_SLOW = [0, 3]  # the slow variables (T, C) in a (T, N, L, C) state
 
 
 @dataclass(frozen=True)
@@ -231,29 +226,15 @@ def simulate_reduced(T0: float, C0: float, p: ParameterSet,
     if not (T0 > 0.0 and C0 > 0.0):
         raise DomainError(f"reduced model requires T0, C0 > 0, got ({T0!r}, {C0!r})")
 
-    sol = solve_ivp(
-        lambda t, z: _reduced_rhs_arr(z, p),
-        (0.0, cfg.t_end),
-        np.array([float(T0), float(C0)]),
-        method="Radau",
-        jac=lambda t, z: _reduced_jac_arr(z, p),
-        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
-        dense_output=True, t_eval=cfg.grid(),
-    )
-    if sol.status not in (0, -1):
-        raise IntegrationError(f"unexpected solver status {sol.status}: {sol.message}")
-
-    z = _clip_undershoot(sol.y.T.copy(), cfg.atol, "simulate_reduced")
+    t, z, dense, stats = _radau(lambda t, z: _reduced_rhs_arr(z, p),
+                                lambda t, z: _reduced_jac_arr(z, p),
+                                np.array([float(T0), float(C0)]), cfg.t_end, cfg,
+                                "simulate_reduced", cfg.grid())
     expand = _expand_factory(p)
     y = np.array([expand(row) for row in z])
-    stats = SolverStats(
-        steps=max(len(sol.sol.ts) - 1, 0) if sol.sol is not None else 0,
-        nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
-        status=sol.status, message=sol.message.strip(),
-    )
     return Trajectory(
-        model="reduced-leading", params=p, t=sol.t.copy(), y=y,
-        dense=sol.sol, stats=stats, complete=(sol.status == 0),
+        model="reduced-leading", params=p, t=t, y=y,
+        dense=dense, stats=stats, complete=(stats.status == 0),
         atol=cfg.atol, expand=expand,
         effective=EffectiveParameters.from_full(p),
     )
@@ -280,25 +261,14 @@ class ReducedComparison:
                 and self.full_attractor == self.reduced_attractor)
 
 
-def _nearest_attractor_tc(y: np.ndarray, targets) -> Optional[str]:
-    """Nearest stable equilibrium judged on the slow variables (T, C) only:
-    the reconstructed immune populations diverge at the tumor-free state."""
-    best, dist = None, np.inf
-    for eq in targets:
-        e = eq.y[[0, 3]]
-        d = float(np.max(np.abs(y[[0, 3]] - e) / np.maximum(1.0, np.abs(e))))
-        if d < dist:
-            best, dist = eq.kind, d
-    return best
-
-
 def compare_reduced(full: Trajectory, red: Trajectory,
                     stage: Optional[ExplosiveStage],
                     targets: Sequence[Equilibrium]) -> ReducedComparison:
     """Per-variable relative errors of the reduced run, summarized over the
     window of `stage`, the full trajectory's explosive stage (None: no
     window).  Both final states are labelled by the nearest of `targets`,
-    the stable equilibria."""
+    the stable equilibria, judged on the slow variables (T, C) only: the
+    reconstructed immune populations diverge at the tumor-free state."""
     lo = max(full.t[0], red.t[0])
     hi = min(full.t[-1], red.t[-1])
     sel = (full.t >= lo) & (full.t <= hi)
@@ -322,6 +292,6 @@ def compare_reduced(full: Trajectory, red: Trajectory,
 
     return ReducedComparison(
         t=t, rel_err=rel, window=window, max_err=max_err, mean_err=mean_err,
-        full_attractor=_nearest_attractor_tc(full.final, targets),
-        reduced_attractor=_nearest_attractor_tc(red.final, targets),
+        full_attractor=classify_attractor(full.final, targets, tol=None, mask=_SLOW),
+        reduced_attractor=classify_attractor(red.final, targets, tol=None, mask=_SLOW),
     )

@@ -5,15 +5,14 @@ from ticsp.harness import (
     SCENARIOS,
     PerturbationSpec,
     run_perturbation,
-    run_scenarios,
+    run_scenario,
 )
 
 
 @pytest.fixture(scope="session")
 def scenario_results():
     """All four built-in cases, keyed by name."""
-    results = run_scenarios(list(SCENARIOS), jobs=4)
-    return dict(zip(SCENARIOS, results))
+    return {name: run_scenario(name) for name in SCENARIOS}
 
 
 @pytest.fixture(scope="session")

@@ -218,7 +218,7 @@ def test_criterion_11_property_suite():
 @pytest.mark.slow
 def test_criterion_12_bifurcation_structure():
     d_star = P.a - P.alpha * P.c * P.e / (P.beta * P.f)
-    scan = bifurcation_scan(P, "d", (0.05, 1.0), 40, jobs=4)
+    scan = bifurcation_scan(P, "d", (0.05, 1.0), 40)
     assert scan.transcritical == pytest.approx(d_star, rel=1e-6)
     assert scan.transcritical == pytest.approx(0.43098, abs=5e-5)
 
@@ -226,7 +226,7 @@ def test_criterion_12_bifurcation_structure():
     assert len(branches) == 2
     assert sorted(b.stable for b in branches) == [False, True]
 
-    wide = bifurcation_scan(P, "d", (2.34, 2000.0), 60, log=True, jobs=4)
+    wide = bifurcation_scan(P, "d", (2.34, 2000.0), 60, log=True)
     assert wide.saddle_node is not None
     assert 800.0 < wide.saddle_node < 1100.0
     assert find_hte(P.replace(d=1200.0)) == []

@@ -54,6 +54,13 @@ def test_simulate_rejects_zero_horizon(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_simulate_rejects_infinite_horizon(tmp_path, capsys):
+    out = tmp_path / "rejected"
+    assert run_cli("simulate", "--scenario", "TR", "--t-end", "inf", "--out", out) == 1
+    assert "t-end" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_unknown_scenario(tmp_path, capsys):
     assert run_cli("simulate", "--scenario", "NOPE", "--out", tmp_path / "x") != 0
     assert "unknown scenario" in capsys.readouterr().err

@@ -127,13 +127,6 @@ def test_find_hte_regression_fixture():
     assert low.T == pytest.approx(1.9060902e7, rel=1e-6)
 
 
-def test_find_hte_deterministic_and_concurrent():
-    base = find_hte(P)
-    threaded = find_hte(P, jobs=4)
-    assert [e.T for e in base] == [e.T for e in threaded]
-    assert [e.stable for e in base] == [e.stable for e in threaded]
-
-
 def test_find_hte_empty_past_saddle_node():
     assert find_hte(P.replace(d=1200.0)) == []
 

@@ -16,7 +16,6 @@ from ticsp.harness import (
     ranked_entries,
     report_tables,
     run_scenario,
-    run_scenarios,
     scenario_from_json,
 )
 from ticsp.integrator import IntegrationError, IntegratorConfig, integrate
@@ -59,8 +58,9 @@ def test_unknown_scenario():
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError, match="t_end"):
-        Scenario("bad", 1e6, 1e3, 1e1, 6e8, t_end=0.0)
+    for t_end in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="t_end"):
+            Scenario("bad", 1e6, 1e3, 1e1, 6e8, t_end=t_end)
     with pytest.raises(ValueError, match="expect"):
         Scenario("bad", 1e6, 1e3, 1e1, 6e8, expect="cured")
 
@@ -170,16 +170,10 @@ def test_stage_and_equilibria_computed_once(monkeypatch):
     assert calls == {"csp.explosive_stage": 1, "equilibria.find_hte": 1}
 
 
-def test_threaded_runs_match_serial():
-    from ticsp.equilibria import find_hte
-    e1 = next(e for e in find_hte(P) if e.stable)
-    cases = [Scenario("push-up", *(e1.y * [1.02, 1.0, 1.0, 1.0]), t_end=5.0),
-             Scenario("push-down", *(e1.y * [0.98, 1.0, 1.0, 1.0]), t_end=5.0)]
-    serial = run_scenarios(cases, jobs=1, config=IntegratorConfig(t_end=5.0))
-    threaded = run_scenarios(cases, jobs=2, config=IntegratorConfig(t_end=5.0))
-    for a, b in zip(serial, threaded):
-        assert a.scenario.name == b.scenario.name
-        assert np.array_equal(a.trajectory.y, b.trajectory.y)
+def test_unmet_expect_raises():
+    scn = dataclasses.replace(SCENARIOS["TR"], expect="HTE")
+    with pytest.raises(RuntimeError, match="'TR'.*TFE.*expected HTE"):
+        run_scenario(scn)
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,14 @@ def test_grid_short_horizon():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(t_end=-1.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerances"):
+            IntegratorConfig(rtol=bad)
+        with pytest.raises(ValueError, match="tolerances"):
+            IntegratorConfig(atol=bad)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="t_end"):
+            IntegratorConfig(t_end=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +191,12 @@ def test_classify_at_equilibrium(attractors):
         assert classify_attractor(eq.y, attractors) == eq.kind
     far = np.array([1e7, 1e5, 1e5, 1e10])
     assert classify_attractor(far, attractors) is None
+    # On the stable HTE in (T, C) with N and L off by 10x: the (T, C) mask
+    # without a tolerance names it; the default full comparison does not.
+    hte = next(eq for eq in attractors if eq.kind == "HTE")
+    off = hte.y * [1.0, 10.0, 10.0, 1.0]
+    assert classify_attractor(off, attractors, tol=None, mask=[0, 3]) == "HTE"
+    assert classify_attractor(off, attractors) is None
 
 
 def test_settle_tp_and_tr(attractors):
