@@ -1,10 +1,10 @@
 """Command-line front end: subcommands wiring all modules, deterministic file emission.
 
-Every command resolves its configuration up front, creates the output
+Every command resolves its configuration and runs, then creates the output
 directory, echoes the effective configuration into it (config.json), and
 writes its artifacts with 17-significant-digit numbers so that reruns with
 the same configuration are byte-identical.  Exit status 0 means every
-requested output was written.
+requested output was written; a failed run leaves no output directory.
 """
 from __future__ import annotations
 
@@ -164,9 +164,9 @@ def cmd_simulate(args) -> int:
             raise ValueError("--t-end must be positive and finite")
         scn = dataclasses.replace(scn, t_end=args.t_end)
     params = _params_for(args, scn)
-    out = _out_dir(args, scn.name)
     res = run_scenario(scn, params, _int_config(args, scn.t_end),
                        fixed_M=args.fixed_M, settle=False)
+    out = _out_dir(args, scn.name)
     _write_trajectory(out, res.trajectory)
     _write_timescales(out, res.timescales)
     _echo_config(out, args, params, scenario=scn.name, t_end=scn.t_end)
@@ -175,7 +175,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_equilibria(args) -> int:
     params = _params_for(args)
-    out = _out_dir(args, "equilibria")
     eqs = (tfe(params)[0], *find_hte(params))
     payload = [
         {
@@ -188,6 +187,7 @@ def cmd_equilibria(args) -> int:
         }
         for eq in eqs
     ]
+    out = _out_dir(args, "equilibria")
     _write_json(out / "equilibria.json", payload)
     _echo_config(out, args, params)
     return 0
@@ -195,9 +195,9 @@ def cmd_equilibria(args) -> int:
 
 def cmd_bifurcate(args) -> int:
     params = _params_for(args)
-    out = _out_dir(args, "bifurcate")
     scan = bifurcation_scan(params, args.param, (args.start, args.stop),
                             args.steps, log=args.log)
+    out = _out_dir(args, "bifurcate")
     rows = (
         [args.param, _g(v), str(bid), _g(t_star), str(int(stable)), branch.kind]
         for bid, branch in enumerate(scan.branches)
@@ -220,11 +220,11 @@ def cmd_bifurcate(args) -> int:
 def cmd_csp(args) -> int:
     scn = _scenario_from_args(args)
     params = _params_for(args, scn)
-    out = _out_dir(args, scn.name)
     checkpoints = tuple(float(v) for v in args.checkpoints.split(","))
     res = run_scenario(scn, params, _int_config(args, scn.t_end),
                        checkpoints=checkpoints, fixed_M=args.fixed_M,
                        settle=False)
+    out = _out_dir(args, scn.name)
     _write_timescales(out, res.timescales)
     _write_diagnostics(out, res.records)
     _echo_config(out, args, params, scenario=scn.name,
@@ -235,11 +235,11 @@ def cmd_csp(args) -> int:
 def cmd_reduce(args) -> int:
     scn = _scenario_from_args(args)
     params = _params_for(args, scn)
-    out = _out_dir(args, scn.name)
     cfg = _int_config(args, scn.t_end)
     res = run_scenario(scn, params, cfg)
     red = simulate_reduced(scn.T0, scn.C0, params, cfg)
     rep = compare_reduced(res.trajectory, red, res.stage, res.stable_equilibria)
+    out = _out_dir(args, scn.name)
     rows = ([_g(t), _g(y[0]), _g(y[3]), _g(y[1]), _g(y[2])]
             for t, y in zip(red.t, red.y))
     _write_csv(out / "reduced_trajectory.csv",
@@ -265,11 +265,11 @@ def cmd_perturb(args) -> int:
     spec = PerturbationSpec(args.param, args.factor, baseline=args.scenario)
     params = _params_for(args)
     scn = get_scenario(args.scenario)
+    rep = run_perturbation(spec, params, _int_config(args, scn.t_end))
     # Directory names use the shortest round-trip form (repr), not the
     # full-precision %.17g used inside files: 0.6 should label its output
     # directory "TP-ex0.6", not "TP-ex0.59999999999999998".
     out = _out_dir(args, f"{scn.name}-{args.param}x{args.factor!r}")
-    rep = run_perturbation(spec, params, _int_config(args, scn.t_end))
     _write_json(out / "perturbation.json", {
         "parameter": spec.parameter,
         "multiplier": spec.multiplier,
@@ -291,7 +291,6 @@ def cmd_perturb(args) -> int:
 
 def cmd_threshold(args) -> int:
     params = _params_for(args)
-    out = _out_dir(args, "threshold")
     if args.scenario:
         base = get_scenario(args.scenario.removesuffix("-family"))
         n0, l0, c0 = base.N0, base.L0, base.C0
@@ -300,6 +299,7 @@ def cmd_threshold(args) -> int:
     lo, hi = args.bracket
     value = basin_threshold(n0, l0, c0, params, (lo, hi),
                             _int_config(args, 200.0))
+    out = _out_dir(args, "threshold")
     _write_json(out / "threshold.json", {
         "threshold": float(value),
         "bracket": [lo, hi],
@@ -312,10 +312,10 @@ def cmd_threshold(args) -> int:
 def cmd_report(args) -> int:
     scn = _scenario_from_args(args)
     params = _params_for(args, scn)
-    out = _out_dir(args, scn.name)
     res = run_scenario(scn, params, _int_config(args, scn.t_end),
                        fixed_M=args.fixed_M)
     rep = report_tables(res)
+    out = _out_dir(args, scn.name)
     _write_json(out / "report.json", {
         "name": rep.name,
         "t_exp": rep.t_exp,

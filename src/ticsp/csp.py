@@ -37,6 +37,7 @@ from .kinetics import (
     N_PROCESSES,
     STOICHIOMETRY,
     State,
+    floor_state,
     jacobian_array,
     jacobian_batch,
     process_rates,
@@ -52,7 +53,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_T_BOUNDARY = 1e-300  # stand-in for T = 0 in linearisations (the T -> 0+ limit)
+_REFINE_TOL = 1e-4   # days: bisection tolerance of the stage boundaries
+_SUBDIVIDE = 4       # the stage scan refines the output grid this many times
 
 
 class DecompositionError(RuntimeError):
@@ -80,10 +82,6 @@ class ModeDecomposition:
     complex_pair: tuple              # per-mode partner index or None
     tracked: bool = False            # True if reordered by track_modes
     ambiguous: bool = False          # True if overlap matching was ambiguous
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.eigenvalues)
 
     def mode_sign_flipped(self, n: int) -> "ModeDecomposition":
         """Copy with mode n's (alpha_n, beta^n, f^n) all negated.
@@ -181,10 +179,8 @@ def _real_modes(J: np.ndarray):
 def _boundary_jacobians(Y, params: ParameterSet) -> np.ndarray:
     """Jacobians at a stack of states (n, 4).  Boundary states (tumor
     clipped to zero by the integrator) are evaluated in the attracting
-    limit T -> 0+."""
-    Z = np.array(Y, dtype=float)
-    Z[Z[:, 0] == 0.0, 0] = _T_BOUNDARY
-    return jacobian_batch(Z, params)
+    limit T -> 0+ (`floor_state`)."""
+    return jacobian_batch(floor_state(Y), params)
 
 
 def mode_eigenvalues(Y, params: ParameterSet) -> np.ndarray:
@@ -197,14 +193,13 @@ def mode_eigenvalues(Y, params: ParameterSet) -> np.ndarray:
     return lam
 
 
-def decompose(state: State, params: ParameterSet, canonicalize: bool = True) -> ModeDecomposition:
+def decompose(state: State, params: ParameterSet) -> ModeDecomposition:
     """Eigenmode decomposition of the Jacobian at one state.
 
     The left basis is the matrix inverse of the right-eigenvector
-    column matrix, making biorthonormality exact by construction.  With
-    `canonicalize` the sign of each mode (alpha_n, beta^n, f^n jointly)
-    is fixed so the mode's largest-magnitude amplitude-participation
-    entry is positive.
+    column matrix, making biorthonormality exact by construction.  The
+    sign of each mode (alpha_n, beta^n, f^n jointly) is fixed so the
+    mode's largest-magnitude amplitude-participation entry is positive.
     """
     y = state.array()
     lam, alpha, partner = (a[0] for a in _real_modes(jacobian_array(y, params)[None]))
@@ -221,12 +216,11 @@ def decompose(state: State, params: ParameterSet, canonicalize: bool = True) -> 
         explosive=lam.real > 0.0,
         complex_pair=tuple(None if j < 0 else int(j) for j in partner),
     )
-    if canonicalize:
-        terms = (beta @ STOICHIOMETRY) * process_rates(state, params).rates[None, :]
-        for n in range(4):
-            k_dom = int(np.argmax(np.abs(terms[n])))
-            if terms[n, k_dom] < 0.0:
-                dec = dec.mode_sign_flipped(n)
+    terms = (beta @ STOICHIOMETRY) * process_rates(state, params).rates[None, :]
+    for n in range(4):
+        k_dom = int(np.argmax(np.abs(terms[n])))
+        if terms[n, k_dom] < 0.0:
+            dec = dec.mode_sign_flipped(n)
     return dec
 
 
@@ -249,16 +243,15 @@ def api(decomp: ModeDecomposition, processes) -> np.ndarray:
     return _normalize_rows(num)
 
 
-def tpi(decomp: ModeDecomposition, state: State, params: ParameterSet) -> np.ndarray:
+def tpi(decomp: ModeDecomposition, processes) -> np.ndarray:
     """Timescale participation: share of each process in each eigenvalue.
 
     c[n,k] = beta^n . (d(S_k R_k)/dy) . alpha_n; the row sum equals the
     mode's eigenvalue (real part for complex pairs), verified to 1e-8
     relative before normalizing.
     """
-    ps = process_rates(state, params)
     B = decomp.beta @ STOICHIOMETRY              # (4, 15)
-    GA = ps.gradients @ decomp.alpha             # (15, 4)
+    GA = processes.gradients @ decomp.alpha      # (15, 4)
     c = B * GA.T                                 # c[n, k]
 
     sums = c.sum(axis=1)
@@ -329,12 +322,11 @@ def _growth_rates(Y, params: ParameterSet) -> np.ndarray:
     return np.linalg.eigvals(_boundary_jacobians(Y, params)).real.max(axis=1)
 
 
-def explosive_stage(traj: Trajectory, params: ParameterSet,
-                    refine_tol: float = 1e-4, subdivide: int = 4) -> Optional[ExplosiveStage]:
+def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[ExplosiveStage]:
     """First interval where the Jacobian has a positive-growth eigenvalue.
 
-    Scans the dense output (grid refined `subdivide`-fold) in one batch,
-    locates the sign changes of max Re lambda to `refine_tol` days, and
+    Scans the dense output (grid refined `_SUBDIVIDE`-fold) in one batch,
+    locates the sign changes of max Re lambda to `_REFINE_TOL` days, and
     reports the first interval; its end is the explosive-timescale end
     time t_exp.  Returns None when every scanned state is dissipative.
     """
@@ -342,7 +334,7 @@ def explosive_stage(traj: Trajectory, params: ParameterSet,
     if len(base) < 2:
         return None
     times = np.unique(np.concatenate(
-        [np.linspace(base[i], base[i + 1], subdivide + 1) for i in range(len(base) - 1)]
+        [np.linspace(base[i], base[i + 1], _SUBDIVIDE + 1) for i in range(len(base) - 1)]
     ))
     inside = _growth_rates(dense_states(traj, times), params) > 0.0
     if not np.any(inside):
@@ -353,7 +345,7 @@ def explosive_stage(traj: Trajectory, params: ParameterSet,
     if first == 0:
         start = float(times[0])
     else:
-        start = locate_event(traj, event, tol=refine_tol,
+        start = locate_event(traj, event, tol=_REFINE_TOL,
                              t_span=(times[first - 1], times[first]))
         if start is None:  # sign change narrower than the scan spacing
             start = float(times[first])
@@ -363,7 +355,7 @@ def explosive_stage(traj: Trajectory, params: ParameterSet,
         end = float(times[-1])  # stage still open at the end of the run
     else:
         j = first + int(after[0])
-        end = locate_event(traj, event, tol=refine_tol,
+        end = locate_event(traj, event, tol=_REFINE_TOL,
                            t_span=(times[j - 1], times[j]))
         if end is None:
             end = float(times[j])
@@ -420,19 +412,18 @@ def track_modes(prev: ModeDecomposition, cur: ModeDecomposition) -> ModeDecompos
 
 def diagnostics_record(state: State, params: ParameterSet,
                        t_over_texp: float = np.nan,
-                       fixed_M: Optional[int] = None,
-                       rtol: float = 1e-3, atol: float = 1.0) -> DiagnosticsRecord:
+                       fixed_M: Optional[int] = None) -> DiagnosticsRecord:
     """All four index tables at one state, with M from the exhausted-mode
     count unless overridden."""
     dec = decompose(state, params)
     ps = process_rates(state, params)
-    M = exhausted_count(dec, state, rtol=rtol, atol=atol, fixed=fixed_M)
+    M = exhausted_count(dec, state, fixed=fixed_M)
     return DiagnosticsRecord(
         time=state.t,
         t_over_texp=float(t_over_texp),
         M=M,
         api=api(dec, ps),
-        tpi=tpi(dec, state, params),
+        tpi=tpi(dec, ps),
         pointer=pointer(dec),
         importance=importance(dec, M, ps),
         decomposition=dec,

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _SENTINEL = 1e300
+_T_GRID = np.geomspace(1.0, 1e10, 400)  # the HTE root scan's T* grid
 
 
 @dataclass(frozen=True)
@@ -191,36 +192,28 @@ def classify_stability(eq: Equilibrium, p: ParameterSet, eps_stab: float = 1e-12
     return dataclasses.replace(eq, eigenvalues=eigs, stable=stable)
 
 
-def find_hte(
-    p: ParameterSet,
-    t_range: tuple[float, float] = (1.0, 1e10),
-    grid_points: int = 400,
-) -> list[Equilibrium]:
-    """All feasible high-tumor equilibria with T* in `t_range`, sorted by T*.
+def find_hte(p: ParameterSet) -> list[Equilibrium]:
+    """All feasible high-tumor equilibria with T* in [1, 1e10], sorted by T*.
 
-    Scans a log-spaced grid for sign changes of `hte_residual`, refines
-    each bracket with `brentq` to 4 eps relative tolerance in T*,
+    Scans a 400-point log-spaced grid for sign changes of `hte_residual`,
+    refines each bracket with `brentq` to 4 eps relative tolerance in T*,
     reconstructs the full state, and classifies stability.  An empty list
     is a valid outcome (e.g. past the saddle-node).
     """
-    lo, hi = t_range
-    if not 0.0 < lo < hi:
-        raise ValueError(f"invalid t_range {t_range}")
-    grid = np.geomspace(lo, hi, int(grid_points))
-    F = np.array([hte_residual(T, p) for T in grid])
+    F = np.array([hte_residual(T, p) for T in _T_GRID])
 
     # Refine to machine precision: the returned states must satisfy the
     # equilibrium conditions to ~1e-10 of the population scale.
     roots: list[float] = []
-    for i in range(len(grid) - 1):
+    for i in range(len(_T_GRID) - 1):
         if F[i] == 0.0:
-            roots.append(float(grid[i]))
+            roots.append(float(_T_GRID[i]))
         elif (F[i] > 0.0) != (F[i + 1] > 0.0):
-            roots.append(brentq(hte_residual, grid[i], grid[i + 1], args=(p,),
+            roots.append(brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(p,),
                                 rtol=4.0 * np.finfo(float).eps,
-                                xtol=1e-13 * max(1.0, grid[i])))
+                                xtol=1e-13 * max(1.0, _T_GRID[i])))
     if F[-1] == 0.0:
-        roots.append(float(grid[-1]))
+        roots.append(float(_T_GRID[-1]))
 
     out: list[Equilibrium] = []
     for T in sorted(roots):
@@ -264,8 +257,6 @@ def bifurcation_scan(
     parameter: str,
     value_range: tuple[float, float],
     steps: int,
-    t_range: tuple[float, float] = (1.0, 1e10),
-    grid_points: int = 400,
     log: bool = False,
 ) -> BifurcationScan:
     """Sweep one rate constant and assemble equilibrium branches.
@@ -285,7 +276,7 @@ def bifurcation_scan(
 
     def sweep_one(value):
         q = p.replace(**{parameter: float(value)})
-        return tfe_stable(q), find_hte(q, t_range, grid_points)
+        return tfe_stable(q), find_hte(q)
 
     results = [sweep_one(v) for v in values]
 

@@ -32,7 +32,7 @@ from .integrator import (
     settle_attractor,
 )
 from .kinetics import VARIABLES, State
-from .params import DEFAULT_PARAMETERS, ParameterSet
+from .params import DEFAULT_PARAMETERS, ParameterSet, number
 from .reduction import ConstraintErrorSeries, constraint_errors
 
 #: t/t_exp sampling points for the standard diagnostics checkpoints.
@@ -41,6 +41,9 @@ CHECKPOINTS = (0.0, 0.2, 0.5, 0.8)
 #: Interior samples used to decide which processes act persistently
 #: across the explosive stage (densely covers 0.1 < t/t_exp < 0.95).
 PERSISTENCE_FRACTIONS = tuple(np.arange(0.125, 0.95, 0.025))
+_II_THRESHOLD = 0.02     # ii_persistence: |II| above this counts as significant
+_II_MIN_FRACTION = 0.5   # ii_persistence: share of the samples that must count
+_RANKED_CUTOFF = 0.95    # ranked_entries: cumulative |value| kept per table row
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +64,12 @@ class Scenario:
     params: Optional[ParameterSet] = None  # overrides the run-time default
 
     def __post_init__(self):
+        if not 0.0 < self.T0 < np.inf:
+            raise ValueError(f"scenario {self.name!r}: T0 must be positive and finite")
+        for name in ("N0", "L0", "C0"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"scenario {self.name!r}: {name} must be "
+                                 "nonnegative and finite")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"scenario {self.name!r}: t_end must be positive and finite")
         if self.expect not in (None, "TFE", "HTE"):
@@ -87,21 +96,36 @@ def get_scenario(name: str) -> Scenario:
         raise ValueError(f"unknown scenario {name!r} (built-ins: {known})") from None
 
 
+_SCENARIO_REQUIRED = ("name", "T0", "N0", "L0", "C0")
+_SCENARIO_FIELDS = (*_SCENARIO_REQUIRED, "t_end", "params_file", "expect")
+
+
 def scenario_from_json(path) -> Scenario:
-    """Load a scenario file: {name, T0, N0, L0, C0, t_end?, params_file?, expect?}."""
+    """Load a scenario file: {name, T0, N0, L0, C0, t_end?, params_file?, expect?}.
+
+    A malformed file raises ValueError naming the file and the field.
+    """
     path = Path(path)
-    data = json.loads(path.read_text())
-    params = None
-    if data.get("params_file"):
-        params = ParameterSet.from_json(path.parent / data["params_file"])
-    return Scenario(
-        name=str(data["name"]),
-        T0=float(data["T0"]), N0=float(data["N0"]),
-        L0=float(data["L0"]), C0=float(data["C0"]),
-        t_end=float(data.get("t_end", 200.0)),
-        expect=data.get("expect"),
-        params=params,
-    )
+    text = path.read_text()
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        unknown = sorted(set(data) - set(_SCENARIO_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r}")
+        missing = [key for key in _SCENARIO_REQUIRED if key not in data]
+        if missing:
+            raise ValueError(f"missing field {missing[0]!r}")
+        params = None
+        if data.get("params_file"):
+            params = ParameterSet.from_json(path.parent / data["params_file"])
+        return Scenario(
+            name=str(data["name"]), expect=data.get("expect"), params=params,
+            **{key: number(data[key], f"field {key!r}")
+               for key in ("T0", "N0", "L0", "C0", "t_end") if key in data})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +371,17 @@ class ScenarioReport:
     persistent: dict[str, tuple[int, ...]]
 
 
-def ranked_entries(values: np.ndarray, labels: Sequence,
-                   cutoff: float = 0.95) -> tuple[tuple[object, float], ...]:
+def ranked_entries(values: np.ndarray, labels: Sequence) -> tuple[tuple[object, float], ...]:
     """Entries in descending |value| until their cumulative |value| reaches
-    the cutoff (ties broken by original position).  The input rows are
-    normalized, so the cumulative sum of a full row is 1."""
+    `_RANKED_CUTOFF` (ties broken by original position).  The input rows
+    are normalized, so the cumulative sum of a full row is 1."""
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         return ()
     order = np.lexsort((np.arange(v.size), -np.abs(v)))
     out, cum = [], 0.0
     for idx in order:
-        if cum >= cutoff:
+        if cum >= _RANKED_CUTOFF:
             break
         out.append((labels[idx], float(v[idx])))
         cum += abs(v[idx])
@@ -382,38 +405,34 @@ def _record_tables(rec: DiagnosticsRecord) -> list[IndexTable]:
     return tables
 
 
-def ii_persistence(result: ScenarioResult,
-                   threshold: float = 0.02,
-                   min_fraction: float = 0.5,
-                   fracs: Sequence[float] = PERSISTENCE_FRACTIONS) -> dict[str, tuple[int, ...]]:
-    """Processes whose importance stays above `threshold` persistently.
+def ii_persistence(result: ScenarioResult) -> dict[str, tuple[int, ...]]:
+    """Processes whose importance stays above `_II_THRESHOLD` persistently.
 
-    A process is persistent for a variable when |II| > threshold at more than
-    `min_fraction` of the interior stage samples (adaptive M at each).
-    Processes significant only in the initial transient or in the final
-    approach to t_exp are excluded by construction.
+    A process is persistent for a variable when |II| > _II_THRESHOLD at more
+    than `_II_MIN_FRACTION` of the interior stage samples
+    (`PERSISTENCE_FRACTIONS`, adaptive M at each).  Processes significant
+    only in the initial transient or in the final approach to t_exp are
+    excluded by construction.
     """
     if result.stage is None:
         return {var: () for var in VARIABLES}
     counts = np.zeros((4, 15), dtype=int)
-    for frac in fracs:
+    for frac in PERSISTENCE_FRACTIONS:
         s = evaluate_dense(result.trajectory, frac * result.stage.t_exp)
         rec = diagnostics_record(s, result.params, t_over_texp=frac)
-        counts += np.abs(rec.importance) > threshold
-    need = min_fraction * len(fracs)
+        counts += np.abs(rec.importance) > _II_THRESHOLD
+    need = _II_MIN_FRACTION * len(PERSISTENCE_FRACTIONS)
     return {
         var: tuple(int(k + 1) for k in range(15) if counts[i, k] > need)
         for i, var in enumerate(VARIABLES)
     }
 
 
-def joint_ii_persistence(results: Sequence[ScenarioResult],
-                         threshold: float = 0.02,
-                         min_fraction: float = 0.5) -> dict[str, tuple[int, ...]]:
+def joint_ii_persistence(results: Sequence[ScenarioResult]) -> dict[str, tuple[int, ...]]:
     """Union of per-scenario persistent processes over several runs."""
     joint: dict[str, set[int]] = {var: set() for var in VARIABLES}
     for res in results:
-        for var, procs in ii_persistence(res, threshold, min_fraction).items():
+        for var, procs in ii_persistence(res).items():
             joint[var].update(procs)
     return {var: tuple(sorted(procs)) for var, procs in joint.items()}
 

@@ -12,14 +12,14 @@ burden: runs are classified by which stable equilibrium they settle to.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .equilibria import Equilibrium, find_hte, tfe
-from .kinetics import DomainError, State, jacobian_array, rhs_array
+from .kinetics import DomainError, State, floor_state, jacobian_array, rhs_array
 from .params import ParameterSet
 
 __all__ = [
@@ -28,7 +28,10 @@ __all__ = [
     "stable_equilibria", "classify_attractor", "settle_attractor",
 ]
 
-_TINY_T = 1e-300  # evaluation guard; T decays exponentially, never to 0 in finite time
+_LOG_START = 1e-4
+_LOG_UNTIL = 5.0
+_N_LOG = 61
+_N_LINEAR = 196
 
 
 class IntegrationError(RuntimeError):
@@ -37,15 +40,16 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Solver tolerances and horizon of one run.
+
+    The output grid is fixed apart from its end: t = 0, then 61 log-spaced
+    times from 1e-4 to 5 days, then 196 linearly spaced times from 5 days
+    to t_end (the first of them shared with the log part).
+    """
+
     rtol: float = 1e-8
     atol: float = 1e-6          # cells/day scale of each population
-    max_step: float = np.inf
     t_end: float = 200.0        # days
-    # output grid: log-spaced up to `log_until`, then linear to t_end
-    log_start: float = 1e-4
-    log_until: float = 5.0
-    n_log: int = 61
-    n_linear: int = 196
 
     def __post_init__(self):
         if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
@@ -55,12 +59,12 @@ class IntegratorConfig:
 
     def grid(self) -> np.ndarray:
         """Strictly increasing output times from 0 to t_end."""
-        if self.t_end <= self.log_start:
+        if self.t_end <= _LOG_START:
             return np.array([0.0, self.t_end])
-        log_hi = min(self.log_until, self.t_end)
-        times = [np.array([0.0]), np.geomspace(self.log_start, log_hi, self.n_log)]
-        if self.t_end > self.log_until:
-            times.append(np.linspace(self.log_until, self.t_end, self.n_linear)[1:])
+        log_hi = min(_LOG_UNTIL, self.t_end)
+        times = [np.array([0.0]), np.geomspace(_LOG_START, log_hi, _N_LOG)]
+        if self.t_end > _LOG_UNTIL:
+            times.append(np.linspace(_LOG_UNTIL, self.t_end, _N_LINEAR)[1:])
         return np.concatenate(times)
 
 
@@ -109,16 +113,6 @@ class Trajectory:
         return self.y[-1]
 
 
-def _shield(y: np.ndarray) -> np.ndarray:
-    """Make solver-probed vectors evaluable: the implicit stages may step
-    slightly outside the feasible domain."""
-    out = np.asarray(y, dtype=float).copy()
-    if out[0] < _TINY_T:
-        out[0] = _TINY_T
-    out[1:] = np.maximum(out[1:], 0.0)
-    return out
-
-
 def _clip_undershoot(y: np.ndarray, atol: float, where: str) -> np.ndarray:
     """Clip tiny negative populations to 0; larger undershoot is an error.
 
@@ -146,7 +140,7 @@ def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
     partial solution with status -1 in the stats.
     """
     sol = solve_ivp(fun, (0.0, t_end), y0, method="Radau", jac=jac,
-                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
+                    rtol=cfg.rtol, atol=cfg.atol,
                     dense_output=grid is not None, t_eval=grid)
     if sol.status not in (0, -1):
         raise IntegrationError(f"unexpected solver status {sol.status}: {sol.message}")
@@ -161,8 +155,8 @@ def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
 
 def _full_model(params: ParameterSet):
     """The full model's (t, y) right-hand side and Jacobian for `_radau`."""
-    return (lambda t, y: rhs_array(_shield(y), params),
-            lambda t, y: jacobian_array(_shield(y), params))
+    return (lambda t, y: rhs_array(floor_state(y), params),
+            lambda t, y: jacobian_array(floor_state(y), params))
 
 
 def integrate(y0: State, params: ParameterSet, config: IntegratorConfig | None = None) -> Trajectory:
@@ -187,26 +181,16 @@ def integrate(y0: State, params: ParameterSet, config: IntegratorConfig | None =
     )
 
 
-def _dense_vector(traj: Trajectory, t: float) -> np.ndarray:
-    lo, hi = traj.span
-    if not lo <= t <= hi:
-        raise ValueError(f"t = {t} outside trajectory span [{lo}, {hi}]")
-    z = np.asarray(traj.dense(t), dtype=float)
-    if traj.expand is not None:
-        z = traj.expand(z)
-    return _clip_undershoot(z, traj.atol, "evaluate_dense")
-
-
 def evaluate_dense(traj: Trajectory, t: float) -> State:
     """State at any time inside the trajectory span (dense interpolant)."""
-    return State.from_array(t, _dense_vector(traj, float(t)))
+    return State.from_array(t, dense_states(traj, [t])[0])
 
 
 def dense_states(traj: Trajectory, times) -> np.ndarray:
     """States (n, 4) at many times inside the span, from one interpolant call."""
     times = np.asarray(times, dtype=float)
     lo, hi = traj.span
-    if np.any(times < lo) or np.any(times > hi):
+    if not np.all((times >= lo) & (times <= hi)):
         raise ValueError(f"times outside trajectory span [{lo}, {hi}]")
     Z = np.asarray(traj.dense(times), dtype=float).T
     if traj.expand is not None:
@@ -219,15 +203,14 @@ def locate_event(
     event_fn: Callable[[State], float],
     tol: float = 1e-6,
     t_span: Optional[tuple[float, float]] = None,
-    grid: Optional[np.ndarray] = None,
 ) -> Optional[float]:
     """First root of a continuous event function along the trajectory.
 
-    Scans the output grid (or a caller-supplied time grid) for a sign
-    change, then bisects the dense solution down to `tol` days.  Returns
-    None when the event keeps one sign throughout.
+    Scans the output grid for a sign change, then bisects the dense
+    solution down to `tol` days.  Returns None when the event keeps one
+    sign throughout.
     """
-    times = traj.t if grid is None else np.asarray(grid, dtype=float)
+    times = traj.t
     if t_span is not None:
         lo, hi = t_span
         times = times[(times >= lo) & (times <= hi)]
@@ -265,15 +248,13 @@ def locate_event(
 # ---------------------------------------------------------------------------
 # Attractor classification and the basin threshold
 
-def stable_equilibria(params: ParameterSet,
-                      t_range: tuple[float, float] = (1.0, 1e10),
-                      grid_points: int = 400) -> list[Equilibrium]:
+def stable_equilibria(params: ParameterSet) -> list[Equilibrium]:
     """All stable attracting points: the TFE (if stable) plus stable HTE."""
     out = []
     main, _ = tfe(params)
     if main.stable:
         out.append(main)
-    out.extend(e for e in find_hte(params, t_range, grid_points) if e.stable)
+    out.extend(e for e in find_hte(params) if e.stable)
     return out
 
 

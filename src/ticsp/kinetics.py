@@ -43,7 +43,7 @@ __all__ = [
     "VARIABLES", "N_PROCESSES", "STOICHIOMETRY", "PROCESS_LABELS",
     "DomainError", "State", "ProcessSet",
     "d_saturation", "process_rates", "rhs", "jacobian", "rate_jacobian_term",
-    "jacobian_batch",
+    "jacobian_batch", "T_FLOOR", "floor_state",
 ]
 
 VARIABLES = ("T", "N", "L", "C")
@@ -76,6 +76,17 @@ PROCESS_LABELS = {
     14: "CD8+ inactivation by tumor",
     15: "CD8+ self-limitation",
 }
+
+
+T_FLOOR = 1e-300  # the T -> 0+ stand-in; T decays exponentially, never to 0
+_STATE_FLOOR = np.array([T_FLOOR, 0.0, 0.0, 0.0])
+
+
+def floor_state(y) -> np.ndarray:
+    """A state (4,) or states (n, 4) with T raised to `T_FLOOR` and (N, L, C)
+    to 0 where below; solver probes may step outside the feasible domain.
+    NaN stays NaN, so the kinetics reject it."""
+    return np.maximum(y, _STATE_FLOOR)
 
 
 class DomainError(ValueError):

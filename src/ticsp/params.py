@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 # Canonical key order for serialization and CLI round-trips.
@@ -17,6 +18,14 @@ PARAMETER_NAMES = (
     "a", "b", "c", "d", "e", "f", "g", "h", "j", "k",
     "l", "m", "s", "u", "alpha", "beta", "r1", "r2", "p", "q",
 )
+
+
+def number(value, what: str) -> float:
+    """A real number as a float; anything else (a bool or a string included)
+    raises ValueError naming `what`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,7 @@ class ParameterSet:
         unknown = sorted(set(data) - set(PARAMETER_NAMES))
         if unknown:
             raise KeyError(f"unknown parameter keys: {', '.join(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**{k: number(v, f"parameter {k!r}") for k, v in data.items()})
 
     @classmethod
     def from_json(cls, path) -> "ParameterSet":

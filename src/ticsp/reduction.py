@@ -23,7 +23,7 @@ import numpy as np
 from .csp import ExplosiveStage
 from .equilibria import Equilibrium
 from .integrator import IntegratorConfig, Trajectory, _radau, classify_attractor
-from .kinetics import DomainError, State, _saturation
+from .kinetics import T_FLOOR, DomainError, State, _saturation
 from .params import ParameterSet
 
 __all__ = [
@@ -140,9 +140,8 @@ def constraint_errors(traj: Trajectory, p: ParameterSet,
 # Reduced right-hand sides
 
 def _reduced_saturation(T: float, C: float, p: ParameterSet):
-    """Tumor-lysis saturation evaluated at the constraint value of L."""
-    L_hat = p.r2 * C * T / (p.q * T + p.m)
-    return _saturation(T, L_hat, p), L_hat
+    """Tumor-lysis saturation (D, phi, sigma) at the constraint value of L."""
+    return _saturation(T, _constraint_arrays(T, C, p)[1], p)
 
 
 def reduced_rhs_leading(T: float, C: float, p: ParameterSet) -> tuple[float, float]:
@@ -150,7 +149,7 @@ def reduced_rhs_leading(T: float, C: float, p: ParameterSet) -> tuple[float, flo
     for the tumor, and the decoupled lymphocyte-pool relaxation."""
     if not (T > 0.0 and C > 0.0):
         raise DomainError(f"reduced model requires T, C > 0, got ({T!r}, {C!r})")
-    (D, _, _), _ = _reduced_saturation(T, C, p)
+    D, _, _ = _reduced_saturation(T, C, p)
     return p.a * T * (1.0 - p.b * T) - D * T, p.alpha - p.beta * C
 
 
@@ -180,18 +179,14 @@ def reduced_rhs_higher(state: State, p: ParameterSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Reduced-model simulation
 
-def _reduced_rhs_arr(z: np.ndarray, p: ParameterSet) -> np.ndarray:
-    T = z[0] if z[0] > 0 else 1e-300
-    C = z[1] if z[1] > 0 else 1e-300
-    (D, _, _), _ = _reduced_saturation(T, C, p)
-    return np.array([p.a * T * (1.0 - p.b * T) - D * T,
-                     p.alpha - p.beta * C])
+def _floor_tc(z: np.ndarray) -> list[float]:
+    """A solver probe (T, C) raised to at least `T_FLOOR` in both; NaN stays NaN."""
+    return np.maximum(z, T_FLOOR).tolist()
 
 
 def _reduced_jac_arr(z: np.ndarray, p: ParameterSet) -> np.ndarray:
-    T = z[0] if z[0] > 0 else 1e-300
-    C = z[1] if z[1] > 0 else 1e-300
-    (D, _, sigma), _ = _reduced_saturation(T, C, p)
+    T, C = _floor_tc(z)
+    D, _, sigma = _reduced_saturation(T, C, p)
     qT_m = p.q * T + p.m
     # x = L_hat/T = r2*C/(q*T + m);  dD/dx = l*D*sigma/x
     dD_dT = -p.l * D * sigma * p.q / qT_m          # (l D sigma / x) * dx/dT
@@ -207,7 +202,7 @@ def _expand_factory(p: ParameterSet):
     def expand(z: np.ndarray) -> np.ndarray:
         T = max(float(z[0]), 0.0)
         C = max(float(z[1]), 0.0)
-        T_safe = T if T > 0.0 else 1e-300
+        T_safe = T if T > 0.0 else T_FLOOR
         return np.array([T, ep * C / T_safe, C * T / (Q * T + Mr), C])
 
     return expand
@@ -226,10 +221,10 @@ def simulate_reduced(T0: float, C0: float, p: ParameterSet,
     if not (T0 > 0.0 and C0 > 0.0):
         raise DomainError(f"reduced model requires T0, C0 > 0, got ({T0!r}, {C0!r})")
 
-    t, z, dense, stats = _radau(lambda t, z: _reduced_rhs_arr(z, p),
-                                lambda t, z: _reduced_jac_arr(z, p),
-                                np.array([float(T0), float(C0)]), cfg.t_end, cfg,
-                                "simulate_reduced", cfg.grid())
+    t, z, dense, stats = _radau(
+        lambda t, z: np.array(reduced_rhs_leading(*_floor_tc(z), p)),
+        lambda t, z: _reduced_jac_arr(z, p),
+        np.array([float(T0), float(C0)]), cfg.t_end, cfg, "simulate_reduced", cfg.grid())
     expand = _expand_factory(p)
     y = np.array([expand(row) for row in z])
     return Trajectory(

@@ -196,7 +196,7 @@ def test_criterion_11_property_suite():
 
         ps = process_rates(state, P)
         assert np.allclose(np.abs(api(dec, ps)).sum(axis=1), 1.0, atol=1e-10)
-        assert np.allclose(np.abs(tpi(dec, state, P)).sum(axis=1), 1.0, atol=1e-10)
+        assert np.allclose(np.abs(tpi(dec, ps)).sum(axis=1), 1.0, atol=1e-10)
         assert np.allclose(pointer(dec).sum(axis=1), 1.0, atol=1e-10)
         for M in range(4):
             imp = importance(dec, M, ps)

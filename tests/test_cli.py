@@ -1,15 +1,23 @@
 """Command-line interface: files, formats, determinism, exit codes."""
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ticsp import DEFAULT_PARAMETERS
-from ticsp.cli import main
+from ticsp import DEFAULT_PARAMETERS, PARAMETER_NAMES
+from ticsp.cli import build_parser, main
 
 from helpers import count_calls
+from test_properties import COMMON
 
 P = DEFAULT_PARAMETERS
 
@@ -236,3 +244,136 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "e" / "equilibria.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# failure paths
+
+#: Each subcommand with the arguments it requires.
+COMMAND_ARGS = {
+    "simulate": [], "equilibria": [], "csp": [], "reduce": [], "report": [],
+    "bifurcate": ["--param", "d", "--from", "0.05", "--to", "1.0", "--steps", "3"],
+    "perturb": ["--param", "e", "--factor", "0.6"],
+    "threshold": [],
+}
+
+
+@pytest.mark.parametrize("command",
+                         ["csp", "perturb", "reduce", "report", "simulate", "threshold"])
+def test_failed_command_leaves_no_output_directory(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, *COMMAND_ARGS[command], "--rtol", "nan", "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+NON_NUMBERS = st.one_of(
+    st.none(), st.booleans(),
+    st.text(max_size=8),  # numeric strings such as "1e6" included
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+NON_OBJECTS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=8), st.lists(st.integers(), max_size=3),
+)
+NON_POSITIVE = st.one_of(st.floats(max_value=0.0, allow_nan=False), NON_FINITE)
+NEGATIVE = st.one_of(st.floats(max_value=-1e-9, allow_nan=False), NON_FINITE)
+
+VALID_SCENARIO = {"name": "case", "T0": 1e6, "N0": 1e3, "L0": 10.0, "C0": 6e8}
+SCENARIO_KEYS = ("name", "T0", "N0", "L0", "C0", "t_end", "params_file", "expect")
+
+
+@st.composite
+def malformed_scenarios(draw):
+    """A scenario file body with exactly one defect."""
+    defect = draw(st.sampled_from(
+        ["non-object", "missing", "non-numeric", "out of range", "unknown"]))
+    if defect == "non-object":
+        return draw(NON_OBJECTS)
+    data = dict(VALID_SCENARIO)
+    numbers = ("T0", "N0", "L0", "C0", "t_end")
+    if defect == "missing":
+        del data[draw(st.sampled_from(sorted(VALID_SCENARIO)))]
+    elif defect == "non-numeric":
+        data[draw(st.sampled_from(numbers))] = draw(NON_NUMBERS)
+    elif defect == "out of range":
+        key = draw(st.sampled_from(numbers))
+        data[key] = draw(NON_POSITIVE if key in ("T0", "t_end") else NEGATIVE)
+    else:
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in SCENARIO_KEYS))
+        data[key] = draw(st.integers())
+    return data
+
+
+@st.composite
+def malformed_parameters(draw):
+    """A parameter file body with exactly one defect."""
+    defect = draw(st.sampled_from(["non-object", "non-numeric", "out of range", "unknown"]))
+    if defect == "non-object":
+        return draw(NON_OBJECTS)
+    if defect == "unknown":
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in PARAMETER_NAMES))
+        return {key: 1.0}
+    value = draw(NON_NUMBERS if defect == "non-numeric" else NON_POSITIVE)
+    return {draw(st.sampled_from(PARAMETER_NAMES)): value}
+
+
+def _assert_fails_loudly(argv, work: Path):
+    out = work / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in err.getvalue()
+    assert not out.exists()
+
+
+@given(malformed_scenarios(), st.sampled_from(["simulate", "csp", "reduce", "report"]))
+@settings(**COMMON)
+def test_malformed_scenario_file_fails_loudly(data, command):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "scenario.json"
+        path.write_text(json.dumps(data))
+        _assert_fails_loudly([command, "--scenario-file", str(path)], Path(work))
+
+
+@given(malformed_parameters(), st.sampled_from(sorted(COMMAND_ARGS)))
+@settings(**COMMON)
+def test_malformed_params_file_fails_loudly(data, command):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "params.json"
+        path.write_text(json.dumps(data))
+        _assert_fails_loudly([command, *COMMAND_ARGS[command], "--params", str(path)],
+                             Path(work))
+
+
+def test_scenario_file_errors_name_the_file_and_field(tmp_path, capsys):
+    path = tmp_path / "case.json"
+    for data, field in (([1, 2], "JSON object"), ({"name": "x"}, "'T0'"),
+                        ({**VALID_SCENARIO, "T0": "abc"}, "'T0'"),
+                        ({**VALID_SCENARIO, "C0": -1.0}, "C0"),
+                        ({**VALID_SCENARIO, "dose": 1}, "'dose'")):
+        path.write_text(json.dumps(data))
+        assert run_cli("simulate", "--scenario-file", path, "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and field in err, err
+
+
+# ---------------------------------------------------------------------------
+# documented commands
+
+def _subcommands():
+    action = next(a for a in build_parser()._actions if a.dest == "command")
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_subcommand_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ticsp {command}")

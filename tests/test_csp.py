@@ -126,7 +126,7 @@ def test_normalizations_random():
         d = decompose(st, P)
         ps = process_rates(st, P)
         assert np.max(np.abs(np.sum(np.abs(api(d, ps)), axis=1) - 1.0)) < 1e-10
-        assert np.max(np.abs(np.sum(np.abs(tpi(d, st, P)), axis=1) - 1.0)) < 1e-10
+        assert np.max(np.abs(np.sum(np.abs(tpi(d, ps)), axis=1) - 1.0)) < 1e-10
         assert np.max(np.abs(np.sum(pointer(d), axis=1) - 1.0)) < 1e-10
         for M in range(4):
             ii = importance(d, M, ps)
@@ -139,7 +139,7 @@ def test_tpi_rows_sum_to_eigenvalues():
     checked_pair = 0
     for st in list(random_states(100, seed=31)) + [PAIR_FAST, PAIR_MID]:
         d = decompose(st, P)
-        tpi(d, st, P)
+        tpi(d, process_rates(st, P))
         if any(p is not None for p in d.complex_pair):
             checked_pair += 1
     assert checked_pair >= 2
@@ -171,7 +171,7 @@ def test_sign_flip_invariance():
     assert np.allclose(api(flipped, ps)[2], -api(d, ps)[2], atol=1e-14)
     # TPI is quadratic in the mode sign (alpha and beta flip together),
     # so a joint flip leaves it unchanged — its table signs are absolute
-    assert np.allclose(tpi(flipped, TP0, P), tpi(d, TP0, P), atol=1e-14)
+    assert np.allclose(tpi(flipped, ps), tpi(d, ps), atol=1e-14)
     other = [0, 1, 3]
     assert np.allclose(api(flipped, ps)[other], api(d, ps)[other], atol=1e-14)
 

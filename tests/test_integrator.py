@@ -10,6 +10,7 @@ from ticsp.integrator import (
     _clip_undershoot,
     basin_threshold,
     classify_attractor,
+    dense_states,
     evaluate_dense,
     integrate,
     locate_event,
@@ -138,6 +139,13 @@ def test_dense_outside_span(tp_traj):
         evaluate_dense(tp_traj, -1.0)
     with pytest.raises(ValueError):
         evaluate_dense(tp_traj, 201.0)
+
+
+def test_dense_rejects_nan_time(tp_traj):
+    with pytest.raises(ValueError, match="outside trajectory span"):
+        evaluate_dense(tp_traj, float("nan"))
+    with pytest.raises(ValueError, match="outside trajectory span"):
+        dense_states(tp_traj, [1.0, float("nan")])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from ticsp import (
     rate_jacobian_term,
     rhs,
 )
-from ticsp.kinetics import jacobian_batch
+from ticsp.kinetics import T_FLOOR, floor_state, jacobian_batch, rhs_array
 from helpers import assert_jacobian_close, fd_jacobian, random_states
 
 P = DEFAULT_PARAMETERS
@@ -177,3 +177,50 @@ def test_property_rates_and_saturation(eT, eN, eL, eC):
     assert np.all(ps.rates >= 0.0)
     assert 0.0 <= ps.D <= P.d
     assert np.all(np.isfinite(ps.gradients))
+
+
+# ---------------------------------------------------------------------------
+# The T -> 0+ floor
+
+SUBNORMAL = 5e-324
+
+
+def test_floor_lifts_out_of_domain_entries():
+    Y = np.array([
+        [-1.0, 1e3, 10.0, 6e8],          # T < 0
+        [0.0, 1e3, 10.0, 6e8],           # T = 0
+        [-0.0, 1e3, 10.0, 6e8],
+        [SUBNORMAL, 1e3, 10.0, 6e8],     # 0 < T < T_FLOOR
+        [1e6, -2e-7, -0.5, -1e9],        # N, L, C < 0
+    ])
+    Z = floor_state(Y)
+    assert Z.shape == Y.shape
+    assert np.all(Z[:4, 0] == T_FLOOR)
+    assert np.array_equal(Z[:4, 1:], Y[:4, 1:])
+    assert np.array_equal(Z[4], [1e6, 0.0, 0.0, 0.0])
+    for y, z in zip(Y, Z):                       # a single state of shape (4,)
+        assert np.array_equal(floor_state(y), z)
+    assert np.array_equal(Y[0], [-1.0, 1e3, 10.0, 6e8])  # input left untouched
+
+
+def test_floor_keeps_values_above_it_bit_for_bit():
+    Y = np.array([[T_FLOOR, 0.0, 0.0, 0.0],
+                  [2e-300, SUBNORMAL, 1e-310, 1e-5],
+                  [1e6, 1e3, 10.0, 6e8],
+                  [9.8e8, 1.2e5, 3.3e7, 6.25e10]])
+    assert floor_state(Y).tobytes() == Y.tobytes()
+    for y in Y:
+        assert floor_state(y).tobytes() == y.tobytes()
+
+
+def test_floor_passes_nan_to_the_kinetics():
+    Y = np.array([[np.nan, 1e3, 10.0, 6e8],
+                  [1e6, np.nan, 10.0, 6e8],
+                  [1e6, 1e3, 10.0, np.nan]])
+    Z = floor_state(Y)
+    assert np.array_equal(np.isnan(Z), np.isnan(Y))
+    with pytest.raises(DomainError):
+        rhs_array(Z[0], P)
+    for z in Z:
+        with pytest.raises(DomainError):
+            jacobian_batch(z[None], P)

@@ -1,6 +1,9 @@
-"""The README's library tour runs as written."""
+"""The README's library tour runs as written, and its CLI lines parse."""
 import re
+import shlex
 from pathlib import Path
+
+from ticsp.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +22,11 @@ def test_library_tour_runs(capsys):
     assert abs(namespace["result"].t_exp - 16.22) < 0.01
     assert namespace["stage"].t_exp == namespace["result"].t_exp
     assert namespace["cmp"].max_err is not None
+
+
+def test_cli_lines_parse():
+    lines = re.findall(r"^ticsp (.*)$", README.read_text(), re.M)
+    assert len(lines) >= 8
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True))
+        assert callable(args.func), line

@@ -11,6 +11,7 @@ from ticsp.integrator import evaluate_dense, integrate, stable_equilibria
 from ticsp.kinetics import DomainError
 from ticsp.reduction import (
     EffectiveParameters,
+    _floor_tc,
     compare_reduced,
     constraint_errors,
     constraint_values,
@@ -227,3 +228,14 @@ def test_on_constraint_displacement_within_error_scale(tp_traj, tp_errors):
         y = np.abs(s_on.array())
         contrib = np.abs(d.alpha * d.amplitudes[None, :])
         assert np.all(contrib[:, :2] * d.timescales[None, :2] < 5e-2 * y[:, None] + 1.0)
+
+
+def test_reduced_probe_floor():
+    # solver probes at or below zero are read at the T -> 0+ floor...
+    T, C = _floor_tc(np.array([-1.0, 0.0]))
+    assert T > 0.0 and C > 0.0
+    assert np.all(np.isfinite(reduced_rhs_leading(T, C, P)))
+    # ...values above it pass unchanged, and NaN reaches the model, which rejects it
+    assert _floor_tc(np.array([1e6, 6e8])) == [1e6, 6e8]
+    with pytest.raises(DomainError):
+        reduced_rhs_leading(*_floor_tc(np.array([np.nan, 6e8])), P)
