@@ -7,16 +7,25 @@ of these runs: log-spaced times up to day 5, linear spacing thereafter;
 the continuous (dense) solution is kept for event location and
 diagnostics at arbitrary times.
 
+Every run, full or reduced, dense or endpoint-only, goes through one
+`solve_ivp` call site, `_radau`, with the solver class `_Radau`: scipy's
+Radau with its LU factor and solve calling LAPACK directly.  Its steps,
+counters and dense output are bit-identical to the stock solver's; on
+these 4x4 systems scipy's per-call linear-algebra wrappers cost more
+than the arithmetic, and they are what it drops.
+
 Also provides the basin-of-attraction bisection on the initial tumor
 burden: runs are classified by which stable equilibrium they settle to.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import Radau, solve_ivp
+from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
 from .equilibria import Equilibrium, find_hte, tfe
 from .kinetics import DomainError, State, floor_state, jacobian_array, rhs_array
@@ -129,6 +138,47 @@ def _clip_undershoot(y: np.ndarray, atol: float, where: str) -> np.ndarray:
     return np.maximum(y, 0.0)
 
 
+# LAPACK's LU factor and solve for the real and the complex Radau IIA
+# iteration matrices, resolved once instead of on every call.
+_DGETRF, _DGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_ZGETRF, _ZGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+
+class _Radau(Radau):
+    """scipy's Radau IIA with `lu` and `solve_lu` calling LAPACK getrf/getrs
+    directly: the routines, arguments and checks (non-finite input, illegal
+    argument, singular matrix) of `lu_factor(A, overwrite_a=True)` and
+    `lu_solve(LU, b, overwrite_b=True)`, without their per-call batch
+    dispatch and routine lookup."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lu = self._lu
+        self.solve_lu = self._solve_lu
+
+    def _lu(self, A):
+        self.nlu += 1
+        A = np.asarray_chkfinite(A)
+        getrf = _ZGETRF if A.dtype.kind == "c" else _DGETRF
+        lu, piv, info = getrf(A, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrf")
+        if info > 0:
+            warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                          LinAlgWarning, stacklevel=2)
+        return lu, piv
+
+    @staticmethod
+    def _solve_lu(LU, b):
+        lu, piv = LU
+        b = np.asarray_chkfinite(b)
+        getrs = _ZGETRS if lu.dtype.kind == "c" else _DGETRS  # b is of the same kind
+        x, info = getrs(lu, piv, b, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+        return x
+
+
 def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
            where: str, grid: Optional[np.ndarray] = None):
     """The package's one Radau run, from t = 0 to t_end.
@@ -139,7 +189,7 @@ def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
     clipped by `_clip_undershoot`.  A step-size collapse returns the
     partial solution with status -1 in the stats.
     """
-    sol = solve_ivp(fun, (0.0, t_end), y0, method="Radau", jac=jac,
+    sol = solve_ivp(fun, (0.0, t_end), y0, method=_Radau, jac=jac,
                     rtol=cfg.rtol, atol=cfg.atol,
                     dense_output=grid is not None, t_eval=grid)
     if sol.status not in (0, -1):

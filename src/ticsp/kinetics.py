@@ -153,8 +153,8 @@ def _check_index(k: int) -> None:
 def _require_dynamic(T: float, N: float, L: float, C: float) -> None:
     if not (T > 0.0):
         raise DomainError(f"T = {T!r}: dynamics require T > 0")
-    if N < 0.0 or L < 0.0 or C < 0.0:
-        raise DomainError(f"negative population in (N, L, C) = ({N!r}, {L!r}, {C!r})")
+    if not (N >= 0.0 and L >= 0.0 and C >= 0.0):
+        raise DomainError(f"negative or NaN population in (N, L, C) = ({N!r}, {L!r}, {C!r})")
 
 
 def _saturation(T: float, L: float, p: ParameterSet):
@@ -180,35 +180,40 @@ def _saturation(T: float, L: float, p: ParameterSet):
     return p.d * phi, phi, sigma
 
 
-def _rates_grads(T, N, L, C, p: ParameterSet, want_grads: bool):
-    """Core evaluation: rates R (15,), gradients G (15,4) or None, and D."""
-    D, phi, sigma = _saturation(T, L, p)
-
+def _rates(T, N, L, C, D, p: ParameterSet) -> list:
+    """The 15 process rates, in process order, with D = D(T, L) given."""
     T2 = T * T
-    rec9 = T2 / (p.h + T2)            # NK recruitment saturation
     V = D * T
     W = V * V
-    rec10 = W / (p.k + W)             # CD8+ recruitment saturation
+    return [
+        p.a * T * (1.0 - p.b * T),
+        p.e * C,
+        p.alpha,
+        p.f * N,
+        p.m * L,
+        p.beta * C,
+        p.c * N * T,
+        V,
+        p.g * (T2 / (p.h + T2)) * N,     # NK recruitment saturation
+        p.j * (W / (p.k + W)) * L,       # CD8+ recruitment saturation
+        p.r1 * N * T,
+        p.r2 * C * T,
+        p.p * N * T,
+        p.q * L * T,
+        p.u * N * L * L,
+    ]
 
-    R = np.empty(N_PROCESSES)
-    R[0] = p.a * T * (1.0 - p.b * T)
-    R[1] = p.e * C
-    R[2] = p.alpha
-    R[3] = p.f * N
-    R[4] = p.m * L
-    R[5] = p.beta * C
-    R[6] = p.c * N * T
-    R[7] = V
-    R[8] = p.g * rec9 * N
-    R[9] = p.j * rec10 * L
-    R[10] = p.r1 * N * T
-    R[11] = p.r2 * C * T
-    R[12] = p.p * N * T
-    R[13] = p.q * L * T
-    R[14] = p.u * N * L * L
 
-    if not want_grads:
-        return R, None, D
+def _rates_grads(T, N, L, C, p: ParameterSet):
+    """Core evaluation: rates R (15,), gradients G (15,4), and D."""
+    D, phi, sigma = _saturation(T, L, p)
+    R = np.array(_rates(T, N, L, C, D, p))
+
+    T2 = T * T
+    rec9 = T2 / (p.h + T2)
+    V = D * T
+    W = V * V
+    rec10 = W / (p.k + W)
 
     # d/dT and d/dL of D, written to stay finite in both saturation branches:
     #   dD/dT = -(l/T) D sigma,   dD/dL = +(l/L) D sigma.
@@ -246,22 +251,22 @@ def _rates_grads(T, N, L, C, p: ParameterSet, want_grads: bool):
 
 # -- array-based entry points (hot path for the integrator and CSP) ----------
 
-def rates_array(y, p: ParameterSet) -> np.ndarray:
-    T, N, L, C = (float(v) for v in y)
+def rates_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
+    """The 15 process rates at a state array (4,): the solver's kernel, so
+    it skips the gradients and the `ProcessSet` of `process_rates`."""
+    T, N, L, C = y.tolist()
     _require_dynamic(T, N, L, C)
-    R, _, _ = _rates_grads(T, N, L, C, p, want_grads=False)
-    return R
+    return np.array(_rates(T, N, L, C, _saturation(T, L, p)[0], p))
 
 
-def rhs_array(y, p: ParameterSet) -> np.ndarray:
+def rhs_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
     return STOICHIOMETRY @ rates_array(y, p)
 
 
-def jacobian_array(y, p: ParameterSet) -> np.ndarray:
-    T, N, L, C = (float(v) for v in y)
+def jacobian_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
+    T, N, L, C = y.tolist()
     _require_dynamic(T, N, L, C)
-    _, G, _ = _rates_grads(T, N, L, C, p, want_grads=True)
-    return STOICHIOMETRY @ G
+    return STOICHIOMETRY @ _rates_grads(T, N, L, C, p)[1]
 
 
 # -- batch entry point (scans along a trajectory) -------------------------------
@@ -342,7 +347,7 @@ def d_saturation(state: State, p: ParameterSet) -> float:
 def process_rates(state: State, p: ParameterSet) -> ProcessSet:
     """Evaluate all 15 process rates and their analytic gradients."""
     _require_dynamic(state.T, state.N, state.L, state.C)
-    R, G, D = _rates_grads(state.T, state.N, state.L, state.C, p, want_grads=True)
+    R, G, D = _rates_grads(state.T, state.N, state.L, state.C, p)
     return ProcessSet(rates=R, gradients=G, D=D)
 
 

@@ -84,12 +84,16 @@ class ParameterSet:
 
     @classmethod
     def from_json(cls, path) -> "ParameterSet":
-        """Load from a flat JSON object of parameter values."""
+        """Load from a flat JSON object of parameter values; every failure is
+        a ValueError naming the file."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object of parameter values")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc.args[0]}") from None
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -363,6 +363,16 @@ def test_scenario_file_errors_name_the_file_and_field(tmp_path, capsys):
         assert err.startswith(f"error: {path}: ") and field in err, err
 
 
+def test_params_file_errors_name_the_file_and_key(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for data, message in (({"zz": 1.0}, "unknown parameter keys: zz"),
+                          ({"a": True}, "parameter 'a' must be a number, got True")):
+        path.write_text(json.dumps(data))
+        assert run_cli("equilibria", "--params", path, "--out", tmp_path / "x") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {path}: {message}"], lines
+
+
 # ---------------------------------------------------------------------------
 # documented commands
 

@@ -1,13 +1,19 @@
 """Integration, dense evaluation, event location, and basin bisection."""
 import numpy as np
 import pytest
+from scipy.integrate import Radau
+from scipy.linalg import LinAlgWarning
 
-from ticsp import DEFAULT_PARAMETERS, State
+from ticsp import DEFAULT_PARAMETERS, State, integrator
+from ticsp.harness import SCENARIOS
 from ticsp.integrator import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
     _clip_undershoot,
+    _full_model,
+    _Radau,
+    _radau,
     basin_threshold,
     classify_attractor,
     dense_states,
@@ -18,6 +24,7 @@ from ticsp.integrator import (
     stable_equilibria,
 )
 from ticsp.kinetics import DomainError
+from ticsp.reduction import simulate_reduced
 
 P = DEFAULT_PARAMETERS
 
@@ -114,6 +121,93 @@ def test_deterministic_rerun():
 def test_initial_state_requires_positive_tumor():
     with pytest.raises(DomainError):
         integrate(State(0.0, 0.0, 1e3, 1e1, 6e8), P)
+
+
+# ---------------------------------------------------------------------------
+# The Radau subclass against scipy's stock Radau
+
+def _solver_records():
+    """Every `_radau` caller once: the four reference runs, endpoint settle
+    runs one cell either side of the basin boundary and a reduced run; each
+    as its grid, states, step points, dense values and solver counters."""
+    def record(t, y, dense, stats):
+        rec = {"t": t, "y": y,
+               "counters": (stats.steps, stats.nfev, stats.njev, stats.nlu, stats.status)}
+        if dense is not None:
+            rec["ts"] = dense.ts
+            rec["dense"] = dense(np.linspace(t[0], t[-1], 3001))
+        return rec
+
+    cfg = IntegratorConfig()
+    out = {}
+    for name in ("TP", "TR", "TP1", "TR1"):
+        traj = integrate(SCENARIOS[name].state, P)
+        out[name] = record(traj.t, traj.y, traj.dense, traj.stats)
+    for T0 in (319392.0, 319393.0):
+        out[f"settle {T0:g}"] = record(*_radau(*_full_model(P), np.array([T0, 1e3, 1e1, 6e8]),
+                                               cfg.t_end, cfg, "settle"))
+    red = simulate_reduced(1e6, 6e8, P)
+    out["reduced"] = record(red.t, red.y, red.dense, red.stats)
+    return out
+
+
+@pytest.fixture(scope="module")
+def fast_and_stock():
+    """Records from `_Radau` (counting calls into its LU overrides) and from
+    scipy's stock Radau on the same call sites."""
+    calls = {"lu": 0, "solve_lu": 0}
+    lu, solve_lu = _Radau._lu, _Radau._solve_lu
+
+    def counted_lu(self, A):
+        calls["lu"] += 1
+        return lu(self, A)
+
+    def counted_solve_lu(LU, b):
+        calls["solve_lu"] += 1
+        return solve_lu(LU, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Radau, "_lu", counted_lu)
+        mp.setattr(_Radau, "_solve_lu", staticmethod(counted_solve_lu))
+        fast = _solver_records()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_Radau", Radau)
+        stock = _solver_records()
+    return fast, stock, calls
+
+
+def test_radau_subclass_is_bit_identical_to_stock(fast_and_stock):
+    fast, stock, _ = fast_and_stock
+    assert fast.keys() == stock.keys()
+    for run, rec in fast.items():
+        ref = stock[run]
+        assert rec.keys() == ref.keys(), run
+        assert rec["counters"] == ref["counters"], run
+        for key in rec.keys() - {"counters"}:
+            assert rec[key].tobytes() == ref[key].tobytes(), (run, key)
+
+
+def test_radau_subclass_lu_overrides_are_live(fast_and_stock):
+    # a scipy release that renames `lu`/`solve_lu` must fail here, not
+    # silently fall back to the stock wrappers
+    fast, _, calls = fast_and_stock
+    assert calls["lu"] == sum(rec["counters"][3] for rec in fast.values()) > 0
+    assert calls["solve_lu"] > calls["lu"]
+
+
+def test_radau_subclass_keeps_the_lu_checks():
+    solver = _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0)
+    nlu = solver.nlu
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.lu(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    assert solver.nlu == nlu + 1
+    with pytest.warns(LinAlgWarning, match="Singular matrix"):
+        solver.lu(np.zeros((2, 2)))
+    LU = solver.lu(np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex))
+    assert np.allclose(solver.solve_lu(LU, np.array([3.0 + 1j, 4.0 + 2j])),
+                       np.linalg.solve([[2.0, 1.0], [1.0, 3.0]], [3.0 + 1j, 4.0 + 2j]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.solve_lu(LU, np.array([np.inf, 0.0], dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from ticsp import (
     rate_jacobian_term,
     rhs,
 )
-from ticsp.kinetics import T_FLOOR, floor_state, jacobian_batch, rhs_array
+from ticsp.kinetics import T_FLOOR, floor_state, jacobian_array, jacobian_batch, rhs_array
 from helpers import assert_jacobian_close, fd_jacobian, random_states
 
 P = DEFAULT_PARAMETERS
@@ -224,3 +226,16 @@ def test_floor_passes_nan_to_the_kinetics():
     for z in Z:
         with pytest.raises(DomainError):
             jacobian_batch(z[None], P)
+
+
+@pytest.mark.parametrize("column", [1, 2, 3])
+def test_scalar_kernels_reject_nan_immune_populations(column):
+    y = np.array([1e6, 1e3, 10.0, 6e8])
+    y[column] = np.nan
+    with pytest.raises(DomainError, match="NaN"):
+        rhs_array(y, P)
+    with pytest.raises(DomainError, match="NaN"):
+        jacobian_array(y, P)
+    # `State` itself refuses NaN, so feed process_rates a bare record
+    with pytest.raises(DomainError, match="NaN"):
+        process_rates(SimpleNamespace(**dict(zip("TNLC", y))), P)

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from ticsp import DEFAULT_PARAMETERS, State
 from ticsp.csp import api, decompose, pointer, tpi
 from ticsp.kinetics import (
+    T_FLOOR,
     d_saturation,
     jacobian_array,
     jacobian_batch,
     process_rates,
+    rates_array,
     rhs_array,
 )
 
@@ -114,3 +116,19 @@ def test_jacobian_batch_matches_scalar_kernel(state, below, above):
     for y, J in zip(Y, jacobian_batch(Y, P)):
         ref = jacobian_array(y, P)
         assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@given(
+    feasible_states,
+    st.floats(min_value=-6.0, max_value=-1e-3, allow_nan=False),
+    st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+)
+@settings(**COMMON)
+def test_solver_rates_match_process_rates_bit_for_bit(state, below, above):
+    # the rates-only solver kernel against the rates-and-gradients path, on
+    # L = 0, both saturation branches (L < T, L >= T) and T at the floor
+    T, N, L, C = state.T, state.N, state.L, state.C
+    for y in ([T, N, L, C], [T, N, 0.0, C], [T, N, T * 10.0 ** below, C],
+              [T, N, T * 10.0 ** above, C], [T_FLOOR, N, L, C]):
+        ref = process_rates(State(0.0, *y), P).rates
+        assert rates_array(np.array(y), P).tobytes() == ref.tobytes()
