@@ -17,6 +17,8 @@ the branch is infeasible (D* outside (0, d)) the residual is replaced by
 large sentinels whose signs match the adjacent feasible limits
 (F -> -L*_- < 0 as D* -> 0+, F -> +inf as D* -> d-), so plain sign
 bracketing never manufactures spurious roots at feasibility boundaries.
+`find_hte` evaluates F on its whole T* grid in one array pass to find the
+sign changes, then refines each with `brentq` on the scalar `hte_residual`.
 """
 from __future__ import annotations
 
@@ -118,40 +120,65 @@ def tfe(p: ParameterSet) -> tuple[Equilibrium, Equilibrium]:
     return main, twin
 
 
+def _nk_balance(T, p: ParameterSet):
+    """Numerator and denominator of N*(T*) in the NK balance; floats or arrays."""
+    return (p.alpha * p.e * (p.h + T * T),
+            p.beta * (p.f * p.h + p.h * p.p * T + (p.f - p.g) * T * T + p.p * T**3))
+
+
 def n_star(Tstar: float, p: ParameterSet) -> float:
     """NK level enforced by the NK balance at tumor level T*."""
     if not Tstar > 0.0:
         raise DomainError("n_star requires Tstar > 0")
     T = float(Tstar)
-    denom = p.beta * (p.f * p.h + p.h * p.p * T + (p.f - p.g) * T * T + p.p * T**3)
+    num, denom = _nk_balance(T, p)
     if denom <= 0.0:
         raise DomainError(f"NK balance denominator nonpositive at T* = {T}: infeasible branch point")
-    return p.alpha * p.e * (p.h + T * T) / denom
+    return num / denom
+
+
+def _kill_and_quadratic(T, N, p: ParameterSet):
+    """D* and the CD8+ quadratic's coefficients at (T*, N*); floats or arrays."""
+    D = p.a * (1.0 - p.b * T) - p.c * N
+    V2 = (D * T) ** 2
+    a2 = -p.u * N
+    b2 = -p.m + p.j * V2 / (p.k + V2) - p.q * T
+    c2 = (p.r1 * N + p.r2 * (p.alpha / p.beta)) * T
+    return D, a2, b2, c2
 
 
 def _hte_pieces(Tstar: float, p: ParameterSet):
     """(N*, D*, quadratic coefficients) shared by residual and reconstruction."""
     N = n_star(Tstar, p)
-    D = p.a * (1.0 - p.b * Tstar) - p.c * N
-    V2 = (D * Tstar) ** 2
-    a2 = -p.u * N
-    b2 = -p.m + p.j * V2 / (p.k + V2) - p.q * Tstar
-    c2 = (p.r1 * N + p.r2 * (p.alpha / p.beta)) * Tstar
-    return N, D, a2, b2, c2
+    return (N, *_kill_and_quadratic(Tstar, N, p))
+
+
+def _quadratic_roots(a2, b2, c2):
+    """Discriminant and roots qq/a2, c2/qq of a2 L^2 + b2 L + c2 (b2 is never
+    -0.0); floats or arrays.  The roots mean nothing where disc < 0."""
+    disc = b2 * b2 - 4.0 * a2 * c2
+    qq = -0.5 * (b2 + np.copysign(np.sqrt(abs(disc)), b2))  # numerically stable split
+    return disc, qq / a2, c2 / qq
+
+
+_NEGATIVE_DISCRIMINANT = "negative discriminant in the CD8+ equilibrium quadratic"
+_NO_POSITIVE_ROOT = "no positive CD8+ root (should be impossible for positive parameters)"
 
 
 def _positive_quadratic_root(a2: float, b2: float, c2: float) -> float:
     """The unique positive root of a2 L^2 + b2 L + c2 with a2 < 0 < c2."""
-    disc = b2 * b2 - 4.0 * a2 * c2
+    disc, *roots = _quadratic_roots(a2, b2, c2)
     if disc < 0.0:
-        raise DomainError("negative discriminant in the CD8+ equilibrium quadratic")
-    sq = np.sqrt(disc)
-    # numerically stable split: roots are qq/a2 and c2/qq
-    qq = -0.5 * (b2 + np.copysign(sq, b2)) if b2 != 0.0 else -0.5 * sq
-    for root in (qq / a2, c2 / qq):
+        raise DomainError(_NEGATIVE_DISCRIMINANT)
+    for root in roots:
         if root > 0.0:
             return float(root)
-    raise DomainError("no positive CD8+ root (should be impossible for positive parameters)")
+    raise DomainError(_NO_POSITIVE_ROOT)
+
+
+def _cd8_for_kill(T, D, p: ParameterSet):
+    """L*_D: the CD8+ level whose kill factor at T* is D*; floats or arrays."""
+    return T * (p.s * D / (p.d - D)) ** (1.0 / p.l)
 
 
 def hte_residual(Tstar: float, p: ParameterSet) -> float:
@@ -165,8 +192,29 @@ def hte_residual(Tstar: float, p: ParameterSet) -> float:
     if D >= p.d:
         return +_SENTINEL
     L_minus = _positive_quadratic_root(a2, b2, c2)
-    L_D = Tstar * (p.s * D / (p.d - D)) ** (1.0 / p.l)
-    return L_D - L_minus
+    return _cd8_for_kill(Tstar, D, p) - L_minus
+
+
+def _hte_grid_residuals(p: ParameterSet) -> np.ndarray:
+    """`hte_residual` on all of `_T_GRID` in one array pass, its domain branches
+    as masks.  numpy's array `power` may differ from libm's `pow` in the last
+    bit, so the values may too; their signs and zeros do not."""
+    T = _T_GRID
+    num, denom = _nk_balance(T, p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # on lanes with denom <= 0 or D* outside (0, d), masked out below
+        D, a2, b2, c2 = _kill_and_quadratic(T, num / denom, p)
+    low = (denom <= 0.0) | (D <= 0.0)
+    ok = ~low & ~(D >= p.d)
+    disc, r1, r2 = _quadratic_roots(a2[ok], b2[ok], c2[ok])
+    if np.any(disc < 0.0):
+        raise DomainError(_NEGATIVE_DISCRIMINANT)
+    L_minus = np.where(r1 > 0.0, r1, r2)
+    if not np.all(L_minus > 0.0):
+        raise DomainError(_NO_POSITIVE_ROOT)
+    F = np.where(low, -_SENTINEL, +_SENTINEL)
+    F[ok] = _cd8_for_kill(T[ok], D[ok], p) - L_minus
+    return F
 
 
 def hte_state(Tstar: float, p: ParameterSet) -> np.ndarray:
@@ -195,23 +243,22 @@ def classify_stability(eq: Equilibrium, p: ParameterSet, eps_stab: float = 1e-12
 def find_hte(p: ParameterSet) -> list[Equilibrium]:
     """All feasible high-tumor equilibria with T* in [1, 1e10], sorted by T*.
 
-    Scans a 400-point log-spaced grid for sign changes of `hte_residual`,
-    refines each bracket with `brentq` to 4 eps relative tolerance in T*,
-    reconstructs the full state, and classifies stability.  An empty list
-    is a valid outcome (e.g. past the saddle-node).
+    One array pass of the residual over a 400-point log-spaced grid only
+    decides signs and zeros; `brentq` on the scalar `hte_residual` refines each
+    sign change to 4 eps relative tolerance in T*, so no root depends on the
+    grid's last bits.  Then each state is reconstructed and classified.  An
+    empty list is a valid outcome (e.g. past the saddle-node).
     """
-    F = np.array([hte_residual(T, p) for T in _T_GRID])
+    F = _hte_grid_residuals(p)
+    zero = F[:-1] == 0.0
+    pos = F > 0.0
 
     # Refine to machine precision: the returned states must satisfy the
     # equilibrium conditions to ~1e-10 of the population scale.
-    roots: list[float] = []
-    for i in range(len(_T_GRID) - 1):
-        if F[i] == 0.0:
-            roots.append(float(_T_GRID[i]))
-        elif (F[i] > 0.0) != (F[i + 1] > 0.0):
-            roots.append(brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(p,),
-                                rtol=4.0 * np.finfo(float).eps,
-                                xtol=1e-13 * max(1.0, _T_GRID[i])))
+    roots = [float(_T_GRID[i]) for i in np.flatnonzero(zero)]
+    roots += [brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(p,),
+                     rtol=4.0 * np.finfo(float).eps, xtol=1e-13 * max(1.0, _T_GRID[i]))
+              for i in np.flatnonzero(~zero & (pos[:-1] != pos[1:]))]
     if F[-1] == 0.0:
         roots.append(float(_T_GRID[-1]))
 
@@ -247,8 +294,8 @@ class BifurcationScan:
     saddle_node: Optional[float]     # last swept value with two feasible HTE
 
 
-def _tfe_margin(value: float, parameter: str, p: ParameterSet) -> float:
-    q = p.replace(**{parameter: value})
+def _tfe_margin(q: ParameterSet) -> float:
+    """(a - d) beta f - alpha c e, negative where the TFE is stable."""
     return (q.a - q.d) * q.beta * q.f - q.alpha * q.c * q.e
 
 
@@ -274,19 +321,14 @@ def bifurcation_scan(
     lo, hi = value_range
     values = np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
 
-    def sweep_one(value):
-        q = p.replace(**{parameter: float(value)})
-        return tfe_stable(q), find_hte(q)
-
-    results = [sweep_one(v) for v in values]
+    qs = [p.replace(**{parameter: float(v)}) for v in values]
+    results = [find_hte(q) for q in qs]  # each sorted by T*
 
     tfe_branch = BifurcationBranch("TFE", [float(v) for v in values],
-                                   [0.0] * len(values),
-                                   [flag for flag, _ in results])
+                                   [0.0] * len(values), [tfe_stable(q) for q in qs])
     hte_branches: list[BifurcationBranch] = []
     open_branches: list[BifurcationBranch] = []
-    for value, (_, eqs) in zip(values, results):
-        eqs = sorted(eqs, key=lambda e: e.T)
+    for value, eqs in zip(values, results):
         if len(eqs) != len(open_branches):
             open_branches = []
             for _ in eqs:
@@ -298,19 +340,19 @@ def bifurcation_scan(
             br.T_star.append(eq.T)
             br.stable.append(eq.stable)
 
-    margins = [_tfe_margin(v, parameter, p) for v in values]
+    margins = [_tfe_margin(q) for q in qs]
     transcritical = None
     for i in range(len(values) - 1):
         if margins[i] == 0.0:
             transcritical = float(values[i])
             break
         if margins[i] * margins[i + 1] < 0.0:
-            transcritical = float(brentq(_tfe_margin, values[i], values[i + 1],
-                                         args=(parameter, p), rtol=1e-12))
+            transcritical = float(brentq(lambda v: _tfe_margin(p.replace(**{parameter: v})),
+                                         values[i], values[i + 1], rtol=1e-12))
             break
 
     saddle_node = None
-    for value, (_, eqs) in zip(values, results):
+    for value, eqs in zip(values, results):
         if len(eqs) >= 2:
             saddle_node = float(value)
 

@@ -204,11 +204,9 @@ def _rates(T, N, L, C, D, p: ParameterSet) -> list:
     ]
 
 
-def _rates_grads(T, N, L, C, p: ParameterSet):
-    """Core evaluation: rates R (15,), gradients G (15,4), and D."""
-    D, phi, sigma = _saturation(T, L, p)
-    R = np.array(_rates(T, N, L, C, D, p))
-
+def _fill_gradients(G, T, N, L, C, D, sigma, dV_dL, p: ParameterSet):
+    """Write the rate gradients into G, (15, 4) for floats or a (15, 4, n) view
+    for arrays (n,), given D, sigma and dV_dL = T dD/dL from the saturation."""
     T2 = T * T
     rec9 = T2 / (p.h + T2)
     V = D * T
@@ -218,9 +216,7 @@ def _rates_grads(T, N, L, C, p: ParameterSet):
     # d/dT and d/dL of D, written to stay finite in both saturation branches:
     #   dD/dT = -(l/T) D sigma,   dD/dL = +(l/L) D sigma.
     dV_dT = D * (1.0 - p.l * sigma)           # = D + T dD/dT
-    dV_dL = p.l * D * sigma * T / L if L > 0.0 else 0.0   # = T dD/dL
 
-    G = np.zeros((N_PROCESSES, 4))
     G[0, 0] = p.a * (1.0 - 2.0 * p.b * T)
     G[1, 3] = p.e
     # G[2] = 0 (constant source)
@@ -246,7 +242,14 @@ def _rates_grads(T, N, L, C, p: ParameterSet):
     G[13, 2] = p.q * T
     G[14, 1] = p.u * L * L
     G[14, 2] = 2.0 * p.u * N * L
-    return R, G, D
+    return G
+
+
+def _gradients(T, N, L, C, p: ParameterSet):
+    """Rate gradients G (15, 4) and D at one state, without the rates."""
+    D, phi, sigma = _saturation(T, L, p)
+    dV_dL = p.l * D * sigma * T / L if L > 0.0 else 0.0   # = T dD/dL
+    return _fill_gradients(np.zeros((N_PROCESSES, 4)), T, N, L, C, D, sigma, dV_dL, p), D
 
 
 # -- array-based entry points (hot path for the integrator and CSP) ----------
@@ -266,7 +269,7 @@ def rhs_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
 def jacobian_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
     T, N, L, C = y.tolist()
     _require_dynamic(T, N, L, C)
-    return STOICHIOMETRY @ _rates_grads(T, N, L, C, p)[1]
+    return STOICHIOMETRY @ _gradients(T, N, L, C, p)[0]
 
 
 # -- batch entry point (scans along a trajectory) -------------------------------
@@ -298,39 +301,8 @@ def jacobian_batch(Y, p: ParameterSet) -> np.ndarray:
         sigma = np.where(hi, p.s * x, p.s) / denom
         D = p.d * (np.where(hi, 1.0, x) / denom)
         dV_dL = np.where(L > 0.0, p.l * D * sigma * T / L, 0.0)
-    dV_dT = D * (1.0 - p.l * sigma)
-
-    T2 = T * T
-    rec9 = T2 / (p.h + T2)
-    V = D * T
-    W = V * V
-    rec10 = W / (p.k + W)
-    dR10_dV = p.j * L * 2.0 * V * p.k / (p.k + W) ** 2
-
     G = np.zeros((len(Y), N_PROCESSES, 4))
-    G[:, 0, 0] = p.a * (1.0 - 2.0 * p.b * T)
-    G[:, 1, 3] = p.e
-    G[:, 3, 1] = p.f
-    G[:, 4, 2] = p.m
-    G[:, 5, 3] = p.beta
-    G[:, 6, 0] = p.c * N
-    G[:, 6, 1] = p.c * T
-    G[:, 7, 0] = dV_dT
-    G[:, 7, 2] = dV_dL
-    G[:, 8, 0] = p.g * N * 2.0 * T * p.h / (p.h + T2) ** 2
-    G[:, 8, 1] = p.g * rec9
-    G[:, 9, 0] = dR10_dV * dV_dT
-    G[:, 9, 2] = p.j * rec10 + dR10_dV * dV_dL
-    G[:, 10, 0] = p.r1 * N
-    G[:, 10, 1] = p.r1 * T
-    G[:, 11, 0] = p.r2 * C
-    G[:, 11, 3] = p.r2 * T
-    G[:, 12, 0] = p.p * N
-    G[:, 12, 1] = p.p * T
-    G[:, 13, 0] = p.q * L
-    G[:, 13, 2] = p.q * T
-    G[:, 14, 1] = p.u * L * L
-    G[:, 14, 2] = 2.0 * p.u * N * L
+    _fill_gradients(np.moveaxis(G, 0, -1), T, N, L, C, D, sigma, dV_dL, p)
     return STOICHIOMETRY @ G
 
 
@@ -347,8 +319,9 @@ def d_saturation(state: State, p: ParameterSet) -> float:
 def process_rates(state: State, p: ParameterSet) -> ProcessSet:
     """Evaluate all 15 process rates and their analytic gradients."""
     _require_dynamic(state.T, state.N, state.L, state.C)
-    R, G, D = _rates_grads(state.T, state.N, state.L, state.C, p)
-    return ProcessSet(rates=R, gradients=G, D=D)
+    T, N, L, C = state.T, state.N, state.L, state.C
+    G, D = _gradients(T, N, L, C, p)
+    return ProcessSet(rates=np.array(_rates(T, N, L, C, D, p)), gradients=G, D=D)
 
 
 def rhs(state: State, p: ParameterSet) -> np.ndarray:

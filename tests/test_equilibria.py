@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from ticsp import DEFAULT_PARAMETERS, DomainError
+from ticsp import DEFAULT_PARAMETERS, DomainError, ParameterSet, equilibria
 from ticsp.equilibria import (
+    Equilibrium,
     bifurcation_scan,
     classify_stability,
     find_hte,
@@ -12,9 +18,12 @@ from ticsp.equilibria import (
     tfe,
     tfe_eigenvalues,
     tfe_stable,
+    _hte_grid_residuals,
+    _nk_balance,
     _positive_quadratic_root,
     _hte_pieces,
     _SENTINEL,
+    _T_GRID,
 )
 from ticsp.kinetics import jacobian_array, rhs_array
 
@@ -178,3 +187,151 @@ def test_bifurcation_scan_rejects_bad_input():
         bifurcation_scan(P, "zz", (0.1, 1.0), 10)
     with pytest.raises(ValueError):
         bifurcation_scan(P, "d", (0.1, 1.0), 1)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass grid scan of find_hte against the point-by-point scan
+
+def _find_hte_loop(p):
+    """find_hte as it was before the array grid pass: the scalar residual at
+    each grid point and a Python loop over the brackets (the test oracle)."""
+    F = np.array([hte_residual(T, p) for T in _T_GRID])
+    roots = []
+    for i in range(len(_T_GRID) - 1):
+        if F[i] == 0.0:
+            roots.append(float(_T_GRID[i]))
+        elif (F[i] > 0.0) != (F[i + 1] > 0.0):
+            roots.append(brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(p,),
+                                rtol=4.0 * np.finfo(float).eps,
+                                xtol=1e-13 * max(1.0, _T_GRID[i])))
+    if F[-1] == 0.0:
+        roots.append(float(_T_GRID[-1]))
+    out = []
+    for T in sorted(roots):
+        if out and abs(T - out[-1].T) <= 1e-8 * T:
+            continue
+        y = hte_state(T, p)
+        eq = Equilibrium(kind="HTE", y=y, eigenvalues=np.zeros(4, complex),
+                         stable=False, feasible=bool(np.all(y > 0.0)))
+        if eq.feasible:
+            out.append(classify_stability(eq, p))
+    return out
+
+
+def _assert_same_equilibria(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.T == b.T
+        assert a.y.tobytes() == b.y.tobytes()
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.stable == b.stable
+
+
+def _assert_grid_matches_scalar(p):
+    F = _hte_grid_residuals(p)
+    ref = np.array([hte_residual(T, p) for T in _T_GRID])
+    assert np.array_equal(np.sign(F), np.sign(ref))
+    assert np.array_equal(F == 0.0, ref == 0.0)
+    assert np.array_equal(F == -_SENTINEL, ref == -_SENTINEL)
+    assert np.array_equal(F == +_SENTINEL, ref == +_SENTINEL)
+    return F
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@given(
+    st.one_of(st.floats(0.04, 1.25), _log_uniform(1.8, 2500.0)),
+    st.sampled_from(["g", "j", "p"]),
+    st.floats(0.5, 2.0),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_grid_residual_signs_match_the_scalar_residual(d, name, factor):
+    # d over both bifurcation_sweep ranges, one more rate constant scaled
+    _assert_grid_matches_scalar(P.replace(d=d, **{name: getattr(P, name) * factor}))
+
+
+def test_grid_residual_where_the_nk_denominator_vanishes():
+    q = P.replace(g=1.0)
+    F = _assert_grid_matches_scalar(q)
+    infeasible = _nk_balance(_T_GRID, q)[1] <= 0.0
+    assert 0 < infeasible.sum() < len(_T_GRID)
+    assert np.all(F[infeasible] == -_SENTINEL)
+
+
+@pytest.mark.parametrize("p", [P, P.replace(d=0.1), P.replace(d=1200.0)],
+                         ids=["P", "d=0.1", "d=1200"])
+def test_find_hte_bit_identical_to_the_loop_scan(p):
+    _assert_same_equilibria(find_hte(p), _find_hte_loop(p))
+
+
+@pytest.mark.parametrize("value_range, steps, log", [((0.05, 1.0), 40, False),
+                                                     ((2.34, 2000.0), 60, True)])
+def test_bifurcation_scan_bit_identical_to_the_loop_scan(value_range, steps, log):
+    scan = bifurcation_scan(P, "d", value_range, steps, log=log)
+    oracle = {}
+    for v in scan.values:
+        q = P.replace(d=float(v))
+        oracle[float(v)] = _find_hte_loop(q)
+        _assert_same_equilibria(find_hte(q), oracle[float(v)])
+    entries = [(v, T, stable) for b in scan.branches[1:]
+               for v, T, stable in zip(b.values, b.T_star, b.stable)]
+    assert sorted(entries) == sorted((v, e.T, e.stable)
+                                     for v, eqs in oracle.items() for e in eqs)
+
+
+def test_scan_results_pinned_to_the_last_bit():
+    # values of the point-by-point scan before the array grid pass
+    assert [e.T.hex() for e in find_hte(P)] == ["0x1.22d8a6410f895p+24",
+                                               "0x1.d355c39a44bf7p+29"]
+    assert [e.T.hex() for e in find_hte(P.replace(d=0.1))] == ["0x1.d37b1c5d234aep+29"]
+    assert hte_residual(1e7, P).hex() == "-0x1.3735033515683p+20"
+    scan = bifurcation_scan(P, "d", (0.01, 2000.0), steps=120, log=True)
+    assert scan.transcritical.hex() == "0x1.b952c30ef0ad0p-2"
+
+
+def _patched_quadratic(monkeypatch, change):
+    original = equilibria._kill_and_quadratic
+
+    def patched(T, N, p):
+        D, a2, b2, c2 = original(T, N, p)
+        return (D, a2, *change(b2, c2))
+
+    monkeypatch.setattr(equilibria, "_kill_and_quadratic", patched)
+
+
+@pytest.mark.parametrize("change, message", [
+    # c2 -> -c2 with b2 = 0 gives disc = 4 a2 c2 < 0
+    (lambda b2, c2: (0.0 * b2, -c2),
+     "negative discriminant in the CD8+ equilibrium quadratic"),
+    # c2 = 0 with b2 < 0 leaves the roots 0 and b2/|a2| < 0
+    (lambda b2, c2: (-abs(b2) - 1.0, 0.0 * c2),
+     "no positive CD8+ root (should be impossible for positive parameters)"),
+], ids=["negative-discriminant", "no-positive-root"])
+def test_grid_raises_the_scalar_domain_errors(monkeypatch, change, message):
+    # a feasible grid point where the CD8+ quadratic fails, forced by
+    # rewriting its coefficients; the grid pass raises what the scalar does
+    _patched_quadratic(monkeypatch, change)
+    T = 1e7
+    assert 0.0 < _hte_pieces(T, P)[1] < P.d
+    for call in (lambda: hte_residual(T, P), lambda: _hte_grid_residuals(P),
+                 lambda: find_hte(P)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_bifurcation_scan_builds_one_parameter_set_per_value(monkeypatch):
+    replaced = []
+    original = ParameterSet.replace
+
+    def counted(self, **changes):
+        replaced.append(changes["d"])
+        return original(self, **changes)
+
+    monkeypatch.setattr(ParameterSet, "replace", counted)
+    scan = bifurcation_scan(P, "d", (0.05, 1.0), 40)
+    swept = [float(v) for v in scan.values]
+    assert replaced[:len(swept)] == swept
+    # the rest are the transcritical refinement's brentq evaluations
+    assert len(replaced) - len(swept) < 20

@@ -19,7 +19,7 @@ from ticsp import (
     rhs,
 )
 from ticsp.kinetics import T_FLOOR, floor_state, jacobian_array, jacobian_batch, rhs_array
-from helpers import assert_jacobian_close, fd_jacobian, random_states
+from helpers import assert_jacobian_close, count_calls, fd_jacobian, random_states
 
 P = DEFAULT_PARAMETERS
 REF_STATE = State(0.0, 1e6, 1e3, 10.0, 6e8)
@@ -239,3 +239,11 @@ def test_scalar_kernels_reject_nan_immune_populations(column):
     # `State` itself refuses NaN, so feed process_rates a bare record
     with pytest.raises(DomainError, match="NaN"):
         process_rates(SimpleNamespace(**dict(zip("TNLC", y))), P)
+
+
+def test_jacobian_evaluates_no_rates(monkeypatch):
+    calls = count_calls(monkeypatch, "kinetics._rates")
+    jacobian_array(REF_STATE.array(), P)
+    assert calls["kinetics._rates"] == 0
+    process_rates(REF_STATE, P)
+    assert calls["kinetics._rates"] == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ticsp import DEFAULT_PARAMETERS, State
 from ticsp.csp import api, decompose, pointer, tpi
 from ticsp.kinetics import (
+    STOICHIOMETRY,
     T_FLOOR,
     d_saturation,
     jacobian_array,
@@ -132,3 +133,19 @@ def test_solver_rates_match_process_rates_bit_for_bit(state, below, above):
               [T, N, T * 10.0 ** above, C], [T_FLOOR, N, L, C]):
         ref = process_rates(State(0.0, *y), P).rates
         assert rates_array(np.array(y), P).tobytes() == ref.tobytes()
+
+
+@given(
+    feasible_states,
+    st.floats(min_value=-6.0, max_value=-1e-3, allow_nan=False),
+    st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+)
+@settings(**COMMON)
+def test_solver_jacobian_matches_process_gradients_bit_for_bit(state, below, above):
+    # the gradients-only solver kernel against the rates-and-gradients path,
+    # on L = 0, both saturation branches (L < T, L >= T) and T at the floor
+    T, N, L, C = state.T, state.N, state.L, state.C
+    for y in ([T, N, L, C], [T, N, 0.0, C], [T, N, T * 10.0 ** below, C],
+              [T, N, T * 10.0 ** above, C], [T_FLOOR, N, L, C]):
+        ref = STOICHIOMETRY @ process_rates(State(0.0, *y), P).gradients
+        assert jacobian_array(np.array(y), P).tobytes() == ref.tobytes()
