@@ -14,11 +14,7 @@ from .kinetics import (
     STOICHIOMETRY,
     VARIABLES,
     N_PROCESSES,
-    d_saturation,
     process_rates,
-    rhs,
-    jacobian,
-    rate_jacobian_term,
 )
 
 __version__ = "0.1.0"
@@ -26,6 +22,5 @@ __version__ = "0.1.0"
 __all__ = [
     "ParameterSet", "DEFAULT_PARAMETERS", "PARAMETER_NAMES",
     "State", "ProcessSet", "DomainError", "STOICHIOMETRY", "VARIABLES",
-    "N_PROCESSES", "d_saturation", "process_rates", "rhs", "jacobian",
-    "rate_jacobian_term", "__version__",
+    "N_PROCESSES", "process_rates", "__version__",
 ]

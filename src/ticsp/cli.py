@@ -99,10 +99,10 @@ def _echo_config(out: Path, args, params: ParameterSet, **extras) -> None:
         "command": args.command,
         "params_file": str(Path(args.params).resolve()) if args.params else None,
         "parameters": params.to_dict(),
-        "rtol": args.rtol,
-        "atol": args.atol,
-        "fixed_M": args.fixed_M,
     }
+    # the options the command takes (see build_parser)
+    echo.update((key, value) for key, value in vars(args).items()
+                if key in ("rtol", "atol", "fixed_M"))
     echo.update(extras)
     _write_json(out / "config.json", echo)
 
@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
         scn = dataclasses.replace(scn, t_end=args.t_end)
     params = _params_for(args, scn)
     res = run_scenario(scn, params, _int_config(args, scn.t_end),
-                       fixed_M=args.fixed_M, settle=False)
+                       checkpoints=(), settle=False)
     out = _out_dir(args, scn.name)
     _write_trajectory(out, res.trajectory)
     _write_timescales(out, res.timescales)
@@ -236,7 +236,7 @@ def cmd_reduce(args) -> int:
     scn = _scenario_from_args(args)
     params = _params_for(args, scn)
     cfg = _int_config(args, scn.t_end)
-    res = run_scenario(scn, params, cfg)
+    res = run_scenario(scn, params, cfg, checkpoints=())
     red = simulate_reduced(scn.T0, scn.C0, params, cfg)
     rep = compare_reduced(res.trajectory, red, res.stage, res.stable_equilibria)
     out = _out_dir(args, scn.name)
@@ -347,12 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help=f"output directory (default: ${OUTPUT_ROOT_ENV} or cwd, "
                              "plus a per-command leaf)")
-    common.add_argument("--rtol", type=float, default=1e-8,
-                        help="integrator relative tolerance")
-    common.add_argument("--atol", type=float, default=1e-6,
-                        help="integrator absolute tolerance")
-    common.add_argument("--fixed-M", dest="fixed_M", type=int, default=None,
-                        help="pin the exhausted-mode count for importance indices")
+
+    tol = argparse.ArgumentParser(add_help=False)   # commands that integrate
+    tol.add_argument("--rtol", type=float, default=1e-8,
+                     help="integrator relative tolerance")
+    tol.add_argument("--atol", type=float, default=1e-6,
+                     help="integrator absolute tolerance")
+
+    fixed = argparse.ArgumentParser(add_help=False)  # commands that write index tables
+    fixed.add_argument("--fixed-M", dest="fixed_M", type=int, default=None,
+                       help="pin the exhausted-mode count for importance indices")
 
     scen = argparse.ArgumentParser(add_help=False)
     scen.add_argument("--scenario", default="TP",
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", parents=[common, scen],
+    sim = sub.add_parser("simulate", parents=[common, tol, scen],
                          help="integrate a scenario; write trajectory + timescales")
     sim.add_argument("--t-end", dest="t_end", type=float, default=None,
                      help="override the scenario horizon (days)")
@@ -386,24 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
     bif.add_argument("--log", action="store_true", help="logarithmic spacing")
     bif.set_defaults(func=cmd_bifurcate)
 
-    csp = sub.add_parser("csp", parents=[common, scen],
+    csp = sub.add_parser("csp", parents=[common, tol, fixed, scen],
                          help="timescale decomposition and index tables at checkpoints")
     csp.add_argument("--checkpoints", default=",".join(_g(c) for c in CHECKPOINTS),
                      help="comma-separated t/t_exp sampling points")
     csp.set_defaults(func=cmd_csp)
 
-    red = sub.add_parser("reduce", parents=[common, scen],
+    red = sub.add_parser("reduce", parents=[common, tol, scen],
                          help="simulate the reduced model and compare to the full one")
     red.set_defaults(func=cmd_reduce)
 
-    per = sub.add_parser("perturb", parents=[common],
+    per = sub.add_parser("perturb", parents=[common, tol],
                          help="compare a baseline scenario against a parameter change")
     per.add_argument("--param", required=True)
     per.add_argument("--factor", type=float, required=True)
     per.add_argument("--scenario", default="TP")
     per.set_defaults(func=cmd_perturb)
 
-    thr = sub.add_parser("threshold", parents=[common],
+    thr = sub.add_parser("threshold", parents=[common, tol],
                          help="bisect the initial tumor burden separating the basins")
     thr.add_argument("--scenario", default=None,
                      help="borrow (N0, L0, C0) from a built-in case "
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar=("LO", "HI"))
     thr.set_defaults(func=cmd_threshold)
 
-    repp = sub.add_parser("report", parents=[common, scen],
+    repp = sub.add_parser("report", parents=[common, tol, fixed, scen],
                           help="dominant-entry tables and the persistence summary")
     repp.set_defaults(func=cmd_report)
 
@@ -427,7 +431,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

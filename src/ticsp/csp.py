@@ -19,9 +19,9 @@ and 4 populations participate in each mode:
   each variable's time derivative.
 
 Also: exhausted-mode counting (how many fast dissipative modes have
-damped out at the local tolerance), detection of the explosive stage
+damped out at the local tolerance) and detection of the explosive stage
 (the interval where the Jacobian has an eigenvalue with positive real
-part), and mode tracking along a trajectory by basis-overlap matching.
+part).  Modes are always read in tau-sorted order.
 """
 from __future__ import annotations
 
@@ -30,11 +30,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .integrator import Trajectory, dense_states, evaluate_dense, locate_event
+from .integrator import Trajectory, dense_states, evaluate_dense
 from .kinetics import (
-    N_PROCESSES,
     STOICHIOMETRY,
     State,
     floor_state,
@@ -48,7 +46,7 @@ from .params import ParameterSet
 __all__ = [
     "DecompositionError", "ModeDecomposition", "DiagnosticsRecord",
     "ExplosiveStage", "decompose", "api", "tpi", "pointer", "importance",
-    "exhausted_count", "explosive_stage", "track_modes", "diagnostics_record",
+    "exhausted_count", "explosive_stage", "diagnostics_record",
     "mode_eigenvalues",
 ]
 
@@ -80,8 +78,6 @@ class ModeDecomposition:
     amplitudes: np.ndarray           # (4,) cells/day, f = beta @ g
     explosive: np.ndarray            # (4,) bool, Re lambda > 0
     complex_pair: tuple              # per-mode partner index or None
-    tracked: bool = False            # True if reordered by track_modes
-    ambiguous: bool = False          # True if overlap matching was ambiguous
 
     def mode_sign_flipped(self, n: int) -> "ModeDecomposition":
         """Copy with mode n's (alpha_n, beta^n, f^n) all negated.
@@ -106,10 +102,6 @@ class ExplosiveStage:
     @property
     def t_exp(self) -> float:
         return self.end
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -322,6 +314,29 @@ def _growth_rates(Y, params: ParameterSet) -> np.ndarray:
     return np.linalg.eigvals(_boundary_jacobians(Y, params)).real.max(axis=1)
 
 
+def _bisect(event, a: float, b: float) -> Optional[float]:
+    """A root of `event` in [a, b] to `_REFINE_TOL` days by midpoint
+    bisection.  An endpoint where the event is 0 is returned; None when
+    both endpoints have the same sign."""
+    fa, fb = event(a), event(b)
+    if fa == 0.0:
+        return float(a)
+    if fb == 0.0:
+        return float(b)
+    if (fa > 0.0) == (fb > 0.0):
+        return None
+    while b - a > _REFINE_TOL:
+        mid = 0.5 * (a + b)
+        fm = event(mid)
+        if fm == 0.0:
+            return float(mid)
+        if (fm > 0.0) == (fa > 0.0):
+            a = mid
+        else:
+            b = mid
+    return float(0.5 * (a + b))
+
+
 def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[ExplosiveStage]:
     """First interval where the Jacobian has a positive-growth eigenvalue.
 
@@ -341,12 +356,11 @@ def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[Explosiv
         return None
 
     first = int(np.argmax(inside))
-    event = lambda s: float(_growth_rates(s.array()[None], params)[0])
+    event = lambda t: float(_growth_rates(dense_states(traj, [t]), params)[0])
     if first == 0:
         start = float(times[0])
     else:
-        start = locate_event(traj, event, tol=_REFINE_TOL,
-                             t_span=(times[first - 1], times[first]))
+        start = _bisect(event, times[first - 1], times[first])
         if start is None:  # sign change narrower than the scan spacing
             start = float(times[first])
 
@@ -355,8 +369,7 @@ def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[Explosiv
         end = float(times[-1])  # stage still open at the end of the run
     else:
         j = first + int(after[0])
-        end = locate_event(traj, event, tol=_REFINE_TOL,
-                           t_span=(times[j - 1], times[j]))
+        end = _bisect(event, times[j - 1], times[j])
         if end is None:
             end = float(times[j])
 
@@ -364,50 +377,6 @@ def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[Explosiv
     dec = decompose(mid, params)
     mode_index = int(np.argmax(dec.explosive)) + 1
     return ExplosiveStage(start=start, end=end, mode_index=mode_index)
-
-
-def track_modes(prev: ModeDecomposition, cur: ModeDecomposition) -> ModeDecomposition:
-    """Reorder/re-sign cur's modes for continuity with prev.
-
-    Matches modes by maximizing |beta^n_prev . alpha_n_cur| (optimal
-    assignment) and flips signs so each overlap is positive.  If the
-    best and runner-up overlaps for some previous mode are within 1% of
-    each other the matching is ambiguous: cur is returned in its
-    tau-sorted order with the `ambiguous` flag set.
-    """
-    overlap = prev.beta @ cur.alpha              # [prev mode, cur mode]
-    mag = np.abs(overlap)
-    for n in range(4):
-        top2 = np.sort(mag[n])[-2:]
-        if top2[1] > 0.0 and top2[0] >= 0.99 * top2[1]:
-            return dataclasses.replace(cur, ambiguous=True)
-    _, order = linear_sum_assignment(-mag)
-
-    inv = np.empty(4, dtype=int)
-    inv[order] = np.arange(4)
-    partner = tuple(
-        None if cur.complex_pair[j] is None else int(inv[cur.complex_pair[j]])
-        for j in order
-    )
-    alpha = cur.alpha[:, order].copy()
-    beta = cur.beta[order, :].copy()
-    amplitudes = cur.amplitudes[order].copy()
-    for n in range(4):
-        if overlap[n, order[n]] < 0.0:
-            alpha[:, n] *= -1.0
-            beta[n, :] *= -1.0
-            amplitudes[n] *= -1.0
-    return dataclasses.replace(
-        cur,
-        eigenvalues=cur.eigenvalues[order],
-        alpha=alpha,
-        beta=beta,
-        timescales=cur.timescales[order],
-        amplitudes=amplitudes,
-        explosive=cur.explosive[order],
-        complex_pair=partner,
-        tracked=True,
-    )
 
 
 def diagnostics_record(state: State, params: ParameterSet,

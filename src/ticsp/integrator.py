@@ -1,11 +1,11 @@
-"""Stiff initial-value integration with dense output and event location.
+"""Stiff initial-value integration with dense output.
 
 The model's timescales span five orders of magnitude, so integration
 uses an implicit adaptive method (Radau IIA via scipy) with the analytic
 Jacobian.  Output is reported on a grid mirroring the usual presentation
 of these runs: log-spaced times up to day 5, linear spacing thereafter;
-the continuous (dense) solution is kept for event location and
-diagnostics at arbitrary times.
+the continuous (dense) solution is kept for diagnostics at arbitrary
+times, the stage boundaries among them.
 
 Every run, full or reduced, dense or endpoint-only, goes through one
 `solve_ivp` call site, `_radau`, with the solver class `_Radau`: scipy's
@@ -33,7 +33,7 @@ from .params import ParameterSet
 
 __all__ = [
     "IntegratorConfig", "SolverStats", "Trajectory", "IntegrationError",
-    "integrate", "evaluate_dense", "dense_states", "locate_event", "basin_threshold",
+    "integrate", "evaluate_dense", "dense_states", "basin_threshold",
     "stable_equilibria", "classify_attractor", "settle_attractor",
 ]
 
@@ -246,53 +246,6 @@ def dense_states(traj: Trajectory, times) -> np.ndarray:
     if traj.expand is not None:
         Z = np.array([traj.expand(z) for z in Z])
     return _clip_undershoot(Z, traj.atol, "evaluate_dense")
-
-
-def locate_event(
-    traj: Trajectory,
-    event_fn: Callable[[State], float],
-    tol: float = 1e-6,
-    t_span: Optional[tuple[float, float]] = None,
-) -> Optional[float]:
-    """First root of a continuous event function along the trajectory.
-
-    Scans the output grid for a sign change, then bisects the dense
-    solution down to `tol` days.  Returns None when the event keeps one
-    sign throughout.
-    """
-    times = traj.t
-    if t_span is not None:
-        lo, hi = t_span
-        times = times[(times >= lo) & (times <= hi)]
-        if len(times) == 0 or times[0] > lo:
-            times = np.concatenate([[lo], times])
-        if times[-1] < hi:
-            times = np.concatenate([times, [hi]])
-    if len(times) < 2:
-        return None
-
-    f = lambda t: float(event_fn(evaluate_dense(traj, t)))
-    prev_t, prev_v = times[0], f(times[0])
-    if prev_v == 0.0:
-        return float(prev_t)
-    for t in times[1:]:
-        v = f(t)
-        if v == 0.0:
-            return float(t)
-        if (prev_v > 0.0) != (v > 0.0):
-            a, b = prev_t, t
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                vm = f(mid)
-                if vm == 0.0:
-                    return float(mid)
-                if (vm > 0.0) == (prev_v > 0.0):
-                    a = mid
-                else:
-                    b = mid
-            return float(0.5 * (a + b))
-        prev_t, prev_v = t, v
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ process k and R(y) the vector of nonnegative process rates:
 The fractional-kill factor D = d (L/T)^l / (s + (L/T)^l) saturates at d
 for L >> T and vanishes for L = 0 (the limit is handled exactly).
 
-All rate indices are 1-based in the public API, matching the process
-numbering above; the same numbering is used in reports and CSV files.
+Processes are numbered 1..15 as above in reports, CSV files and
+`PROCESS_LABELS`; in the rate and gradient arrays process k sits at k-1.
 """
 from __future__ import annotations
 
@@ -41,9 +41,9 @@ from .params import ParameterSet
 
 __all__ = [
     "VARIABLES", "N_PROCESSES", "STOICHIOMETRY", "PROCESS_LABELS",
-    "DomainError", "State", "ProcessSet",
-    "d_saturation", "process_rates", "rhs", "jacobian", "rate_jacobian_term",
-    "jacobian_batch", "T_FLOOR", "floor_state",
+    "DomainError", "State", "ProcessSet", "process_rates",
+    "rates_array", "rhs_array", "jacobian_array", "jacobian_batch",
+    "T_FLOOR", "floor_state",
 ]
 
 VARIABLES = ("T", "N", "L", "C")
@@ -126,28 +126,14 @@ class State:
 class ProcessSet:
     """Rates and analytic rate gradients at one state.
 
-    `rates` has shape (15,) and `gradients` shape (15, 4); row k-1 of
-    `gradients` is the gradient of process k w.r.t. (T, N, L, C).  Use
-    the 1-based accessors `rate(k)` / `gradient(k)` to avoid off-by-one
-    mistakes against the process table.
+    `rates` has shape (15,) and `gradients` shape (15, 4); entry k-1 of
+    `rates` and row k-1 of `gradients` (w.r.t. (T, N, L, C)) belong to
+    process k of the table above.  D is the fractional-kill factor.
     """
 
     rates: np.ndarray
     gradients: np.ndarray
     D: float
-
-    def rate(self, k: int) -> float:
-        _check_index(k)
-        return float(self.rates[k - 1])
-
-    def gradient(self, k: int) -> np.ndarray:
-        _check_index(k)
-        return self.gradients[k - 1]
-
-
-def _check_index(k: int) -> None:
-    if not 1 <= int(k) <= N_PROCESSES:
-        raise IndexError(f"process index must be in 1..{N_PROCESSES}, got {k}")
 
 
 def _require_dynamic(T: float, N: float, L: float, C: float) -> None:
@@ -263,10 +249,12 @@ def rates_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
 
 
 def rhs_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
+    """Time derivative (dT, dN, dL, dC)/dt = S @ R at a state array (4,)."""
     return STOICHIOMETRY @ rates_array(y, p)
 
 
 def jacobian_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
+    """Analytic 4x4 Jacobian J = S @ dR/dy at a state array (4,)."""
     T, N, L, C = y.tolist()
     _require_dynamic(T, N, L, C)
     return STOICHIOMETRY @ _gradients(T, N, L, C, p)[0]
@@ -293,9 +281,10 @@ def jacobian_batch(Y, p: ParameterSet) -> np.ndarray:
         raise DomainError(f"negative population (min {Y[:, 1:].min()!r}) in (N, L, C)")
 
     # _saturation on both branches at once; L = 0 falls in the L < T branch
-    # with x = 0, which gives D = 0 and sigma = 1 exactly.
+    # with x = 0, which gives D = 0 and sigma = 1 exactly.  Both lanes are
+    # evaluated, so the masked-out L / T may divide by zero or overflow.
     hi = L >= T
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.where(hi, T / L, L / T) ** p.l
         denom = np.where(hi, 1.0 + p.s * x, p.s + x)
         sigma = np.where(hi, p.s * x, p.s) / denom
@@ -306,15 +295,7 @@ def jacobian_batch(Y, p: ParameterSet) -> np.ndarray:
     return STOICHIOMETRY @ G
 
 
-# -- State-based public API ---------------------------------------------------
-
-def d_saturation(state: State, p: ParameterSet) -> float:
-    """Fractional-kill factor D at a state; D in [0, d), with D(L=0) = 0."""
-    if not (state.T > 0.0):
-        raise DomainError("d_saturation requires T > 0")
-    D, _, _ = _saturation(state.T, state.L, p)
-    return D
-
+# -- State-based entry point ---------------------------------------------------
 
 def process_rates(state: State, p: ParameterSet) -> ProcessSet:
     """Evaluate all 15 process rates and their analytic gradients."""
@@ -322,23 +303,3 @@ def process_rates(state: State, p: ParameterSet) -> ProcessSet:
     T, N, L, C = state.T, state.N, state.L, state.C
     G, D = _gradients(T, N, L, C, p)
     return ProcessSet(rates=np.array(_rates(T, N, L, C, D, p)), gradients=G, D=D)
-
-
-def rhs(state: State, p: ParameterSet) -> np.ndarray:
-    """Time derivative (dT, dN, dL, dC)/dt = S @ R."""
-    return rhs_array(state.array(), p)
-
-
-def jacobian(state: State, p: ParameterSet) -> np.ndarray:
-    """Analytic 4x4 Jacobian of the right-hand side, J = S @ dR/dy."""
-    return jacobian_array(state.array(), p)
-
-
-def rate_jacobian_term(k: int, state: State, p: ParameterSet) -> np.ndarray:
-    """Contribution of process k to the Jacobian: S_k (outer) grad R^k.
-
-    The fifteen terms sum to `jacobian(state, p)`.
-    """
-    _check_index(k)
-    ps = process_rates(state, p)
-    return np.outer(STOICHIOMETRY[:, k - 1], ps.gradients[k - 1])

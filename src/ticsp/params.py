@@ -95,11 +95,6 @@ class ParameterSet:
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: {exc.args[0]}") from None
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 #: Patient-9 calibration (the package default).
 DEFAULT_PARAMETERS = ParameterSet()

@@ -9,9 +9,8 @@ effector-cell recruitment balancing inactivation:
 
 This module tracks how well full-model trajectories respect those
 constraints (relative errors RE_N, RE_L), and builds the reduced
-models: the leading-order system of two ODEs for (T, C) plus the two
-algebraic equations above (10 effective parameters), and the
-higher-order four-component right-hand side kept for diagnostics.
+model: the leading-order system of two ODEs for (T, C) plus the two
+algebraic equations above (10 effective parameters).
 """
 from __future__ import annotations
 
@@ -23,25 +22,16 @@ import numpy as np
 from .csp import ExplosiveStage
 from .equilibria import Equilibrium
 from .integrator import IntegratorConfig, Trajectory, _radau, classify_attractor
-from .kinetics import T_FLOOR, DomainError, State, _saturation
+from .kinetics import T_FLOOR, DomainError, _saturation
 from .params import ParameterSet
 
 __all__ = [
-    "ConstraintValues", "ConstraintErrorSeries", "EffectiveParameters",
-    "ReducedComparison", "constraint_values", "constraint_errors",
-    "reduced_rhs_leading", "reduced_rhs_higher", "simulate_reduced",
+    "ConstraintErrorSeries", "EffectiveParameters", "ReducedComparison",
+    "constraint_errors", "reduced_rhs_leading", "simulate_reduced",
     "compare_reduced",
 ]
 
 _SLOW = [0, 3]  # the slow variables (T, C) in a (T, N, L, C) state
-
-
-@dataclass(frozen=True)
-class ConstraintValues:
-    """Immune populations implied by the slow-manifold constraints."""
-
-    N_hat: float    # cells
-    L_hat: float    # cells
 
 
 @dataclass(frozen=True)
@@ -77,14 +67,6 @@ def _constraint_arrays(T, C, p: ParameterSet):
     N_hat = p.e * C / (p.p * T)
     L_hat = p.r2 * C * T / (p.q * T + p.m)
     return N_hat, L_hat
-
-
-def constraint_values(state: State, p: ParameterSet) -> ConstraintValues:
-    """Constraint-implied immune populations at one state (requires T > 0)."""
-    if not state.T > 0.0:
-        raise DomainError(f"T = {state.T!r}: constraints require T > 0")
-    N_hat, L_hat = _constraint_arrays(state.T, state.C, p)
-    return ConstraintValues(N_hat=float(N_hat), L_hat=float(L_hat))
 
 
 @dataclass(frozen=True)
@@ -137,7 +119,7 @@ def constraint_errors(traj: Trajectory, p: ParameterSet,
 
 
 # ---------------------------------------------------------------------------
-# Reduced right-hand sides
+# Reduced right-hand side
 
 def _reduced_saturation(T: float, C: float, p: ParameterSet):
     """Tumor-lysis saturation (D, phi, sigma) at the constraint value of L."""
@@ -151,29 +133,6 @@ def reduced_rhs_leading(T: float, C: float, p: ParameterSet) -> tuple[float, flo
         raise DomainError(f"reduced model requires T, C > 0, got ({T!r}, {C!r})")
     D, _, _ = _reduced_saturation(T, C, p)
     return p.a * T * (1.0 - p.b * T) - D * T, p.alpha - p.beta * C
-
-
-def reduced_rhs_higher(state: State, p: ParameterSet) -> np.ndarray:
-    """Higher-order reduced right-hand side (diagnostic only).
-
-    The tumor equation carries the net effector recruitment/inactivation
-    correction, and the enslaved populations get explicit drift terms;
-    the saturated-lysis factor uses the instantaneous (L, T).
-    """
-    T, N, L, C = state.T, state.N, state.L, state.C
-    if not T > 0.0:
-        raise DomainError(f"T = {T!r}: dynamics require T > 0")
-    D, _, _ = _saturation(T, L, p)
-    growth = p.a * T * (1.0 - p.b * T)
-    lysis = D * T
-    pool = p.alpha - p.beta * C
-    net_recruit = p.r2 * C * T - p.q * L * T
-    return np.array([
-        growth - lysis - net_recruit,
-        -growth + lysis + pool + net_recruit,
-        growth - lysis + pool + net_recruit,
-        pool,
-    ])
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,14 @@ def test_scenario_file_errors_name_the_file_and_field(tmp_path, capsys):
         assert err.startswith(f"error: {path}: ") and field in err, err
 
 
+def test_unknown_parameter_message_has_no_key_error_quotes(tmp_path, capsys):
+    # the library raises KeyError; the CLI prints its message, not its repr
+    assert run_cli("bifurcate", "--param", "zz", "--from", 0.05, "--to", 1,
+                   "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == "error: unknown parameter 'zz'\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_params_file_errors_name_the_file_and_key(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for data, message in (({"zz": 1.0}, "unknown parameter keys: zz"),
@@ -387,3 +395,31 @@ def test_subcommand_help(command, capsys):
         build_parser().parse_args([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: ticsp {command}")
+
+
+#: Options each command refuses because they would not change its output.
+REFUSED = [(command, option)
+           for command, options in (("equilibria", ("--rtol", "--atol", "--fixed-M")),
+                                    ("bifurcate", ("--rtol", "--atol", "--fixed-M")),
+                                    ("simulate", ("--fixed-M",)),
+                                    ("reduce", ("--fixed-M",)),
+                                    ("perturb", ("--fixed-M",)),
+                                    ("threshold", ("--fixed-M",)))
+           for option in options]
+
+
+@pytest.mark.parametrize("command, option", REFUSED)
+def test_command_refuses_options_it_ignores(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *COMMAND_ARGS[command], option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+def test_config_echoes_only_accepted_options(tmp_path):
+    assert run_cli("equilibria", "--out", tmp_path / "eq") == 0
+    assert run_cli("simulate", "--t-end", 1, "--out", tmp_path / "sim") == 0
+    eq = json.loads((tmp_path / "eq" / "config.json").read_text())
+    sim = json.loads((tmp_path / "sim" / "config.json").read_text())
+    assert not {"rtol", "atol", "fixed_M"} & set(eq)
+    assert {"rtol", "atol"} <= set(sim) and "fixed_M" not in sim

@@ -1,4 +1,4 @@
-"""Mode decomposition, participation indices, explosive stage, tracking."""
+"""Mode decomposition, participation indices, explosive stage."""
 import dataclasses
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from ticsp import DEFAULT_PARAMETERS, State
 from ticsp.csp import (
     DecompositionError,
+    _bisect,
     _normalize_rows,
     api,
     decompose,
@@ -16,7 +17,6 @@ from ticsp.csp import (
     importance,
     pointer,
     tpi,
-    track_modes,
 )
 from ticsp.equilibria import find_hte, tfe, tfe_eigenvalues
 from ticsp.integrator import IntegratorConfig, evaluate_dense, integrate
@@ -218,7 +218,6 @@ def test_tp_stage(tp_stage):
     assert tp_stage.start == 0.0
     assert abs(tp_stage.end - 16.2189) / 16.2189 < 0.01
     assert tp_stage.mode_index == 3
-    assert tp_stage.duration == tp_stage.end - tp_stage.start
     assert tp_stage.t_exp == tp_stage.end
 
 
@@ -301,64 +300,35 @@ def test_record_fields(tp_traj, tp_stage):
 
 
 # ---------------------------------------------------------------------------
-# Mode tracking
-
-def test_track_identity(tp_traj, tp_stage):
-    d = tp_record(tp_traj, tp_stage, 0.5).decomposition
-    out = track_modes(d, d)
-    assert out.tracked and not out.ambiguous
-    assert np.array_equal(out.eigenvalues, d.eigenvalues)
-    assert np.allclose(out.alpha, d.alpha)
-
-
-def test_track_undoes_sign_flip(tp_traj, tp_stage):
-    d = tp_record(tp_traj, tp_stage, 0.5).decomposition
-    cur = d.mode_sign_flipped(1).mode_sign_flipped(3)
-    out = track_modes(d, cur)
-    assert np.allclose(out.alpha, d.alpha)
-    assert np.allclose(out.beta, d.beta)
-    assert np.max(np.abs(out.beta @ out.alpha - np.eye(4))) < 1e-10
-
-
-def test_track_undoes_permutation(tp_traj, tp_stage):
-    d = tp_record(tp_traj, tp_stage, 0.5).decomposition
-    perm = [0, 1, 3, 2]
-    cur = dataclasses.replace(
-        d,
-        eigenvalues=d.eigenvalues[perm],
-        alpha=d.alpha[:, perm],
-        beta=d.beta[perm, :],
-        timescales=d.timescales[perm],
-        amplitudes=d.amplitudes[perm],
-        explosive=d.explosive[perm],
-        complex_pair=(None,) * 4,
-    )
-    out = track_modes(d, cur)
-    assert np.allclose(out.eigenvalues, d.eigenvalues)
-    assert np.allclose(out.alpha, d.alpha)
-
-
-def test_track_flags_ambiguity(tp_traj, tp_stage):
-    d = tp_record(tp_traj, tp_stage, 0.5).decomposition
-    c = s = np.sqrt(0.5)
-    alpha = d.alpha.copy()
-    alpha[:, 0] = c * d.alpha[:, 0] + s * d.alpha[:, 1]
-    alpha[:, 1] = -s * d.alpha[:, 0] + c * d.alpha[:, 1]
-    cur = dataclasses.replace(d, alpha=alpha, beta=np.linalg.inv(alpha))
-    out = track_modes(d, cur)
-    assert out.ambiguous
-    assert np.allclose(out.alpha, alpha)  # kept in tau-sorted order
-
+# Modes along the trajectory
 
 def test_track_pins_pointer_along_trajectory(tp_traj, tp_stage):
-    prev = None
+    # in tau-sorted order the two fast modes keep their variables mid-stage
     for frac in np.linspace(0.2, 0.8, 7):
         s = evaluate_dense(tp_traj, frac * tp_stage.end)
-        d = decompose(s, P)
-        if prev is not None:
-            d = track_modes(prev, d)
-            assert not d.ambiguous
-        po = pointer(d)
+        po = pointer(decompose(s, P))
         assert po[0, 1] > 0.95   # mode 1 stays pinned to N
         assert po[1, 2] > 0.95   # mode 2 stays pinned to L
-        prev = d
+
+
+# ---------------------------------------------------------------------------
+# Stage-boundary bisection
+
+def test_bisect_refines_a_sign_change():
+    calls = []
+    event = lambda t: calls.append(t) or t - 1.3
+    root = _bisect(event, 1.0, 2.0)
+    assert abs(root - 1.3) <= 1e-4
+    assert calls[:2] == [1.0, 2.0]          # both endpoints first
+    assert all(1.0 < t < 2.0 for t in calls[2:])
+
+
+def test_bisect_returns_a_zero_endpoint():
+    assert _bisect(lambda t: t - 1.0, 1.0, 2.0) == 1.0
+    assert _bisect(lambda t: t - 2.0, 1.0, 2.0) == 2.0
+    assert _bisect(lambda t: 0.5 - t, 0.0, 1.0) == 0.5   # exact midpoint
+
+
+def test_bisect_none_without_sign_change():
+    assert _bisect(lambda t: t + 1.0, 1.0, 2.0) is None
+    assert _bisect(lambda t: -t, 1.0, 2.0) is None

@@ -67,7 +67,7 @@ def test_scenario_validation():
 
 def test_scenario_from_json(tmp_path):
     params_file = tmp_path / "params.json"
-    P.scaled("a", 2.0).to_json(params_file)
+    params_file.write_text(json.dumps(P.scaled("a", 2.0).to_dict()))
     scenario_file = tmp_path / "case.json"
     scenario_file.write_text(json.dumps({
         "name": "custom", "T0": 2e6, "N0": 1e3, "L0": 10.0, "C0": 6e8,

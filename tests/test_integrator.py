@@ -1,4 +1,4 @@
-"""Integration, dense evaluation, event location, and basin bisection."""
+"""Integration, dense evaluation, and basin bisection."""
 import numpy as np
 import pytest
 from scipy.integrate import Radau
@@ -19,7 +19,6 @@ from ticsp.integrator import (
     dense_states,
     evaluate_dense,
     integrate,
-    locate_event,
     settle_attractor,
     stable_equilibria,
 )
@@ -255,29 +254,6 @@ def test_reject_large_undershoot():
     y = np.array([[1.0, -5e-3, 0.0, 2.0]])
     with pytest.raises(IntegrationError):
         _clip_undershoot(y, atol=1e-6, where="test")
-
-
-# ---------------------------------------------------------------------------
-# Event location
-
-def test_locate_tumor_crossing(tp_traj):
-    t_star = locate_event(tp_traj, lambda s: s.T - 5e8)
-    assert t_star is not None
-    s = evaluate_dense(tp_traj, t_star)
-    # bisected to 1e-6 day; T moves at most ~|dT/dt| ~ 1e8/day near crossing
-    assert abs(s.T - 5e8) / 5e8 < 1e-6
-
-
-def test_locate_event_none_without_crossing(tp_traj):
-    assert locate_event(tp_traj, lambda s: s.T - 1e20) is None
-
-
-def test_locate_event_respects_span(tp_traj):
-    # crossing happens after day ~10; restricting to [0, 5] finds nothing
-    early = locate_event(tp_traj, lambda s: s.T - 5e8, t_span=(0.0, 5.0))
-    assert early is None
-    late = locate_event(tp_traj, lambda s: s.T - 5e8, t_span=(5.0, 200.0))
-    assert late is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +13,7 @@ from ticsp import (
     DomainError,
     ParameterSet,
     State,
-    d_saturation,
-    jacobian,
     process_rates,
-    rate_jacobian_term,
-    rhs,
 )
 from ticsp.kinetics import T_FLOOR, floor_state, jacobian_array, jacobian_batch, rhs_array
 from helpers import assert_jacobian_close, count_calls, fd_jacobian, random_states
@@ -48,41 +45,40 @@ def test_parameter_set_rejects_nonpositive_and_unknown():
 def test_reference_rate_values():
     # independent hand evaluation at (T, N, L, C) = (1e6, 1e3, 10, 6e8)
     ps = process_rates(REF_STATE, P)
-    assert ps.rate(1) == pytest.approx(430560.38, rel=1e-9)
-    assert ps.rate(2) == pytest.approx(124.8, rel=1e-12)
-    assert ps.rate(7) == pytest.approx(0.0641, rel=1e-12)
-    assert ps.rate(13) == pytest.approx(3420.0, rel=1e-12)
-    assert rhs(REF_STATE, P)[0] == pytest.approx(430560.3149, rel=1e-9)
+    assert ps.rates[1 - 1] == pytest.approx(430560.38, rel=1e-9)
+    assert ps.rates[2 - 1] == pytest.approx(124.8, rel=1e-12)
+    assert ps.rates[7 - 1] == pytest.approx(0.0641, rel=1e-12)
+    assert ps.rates[13 - 1] == pytest.approx(3420.0, rel=1e-12)
+    assert rhs_array(REF_STATE.array(), P)[0] == pytest.approx(430560.3149, rel=1e-9)
 
 
 def test_d_saturation_reference_value():
     # x = (10/1e6)^2.09 = 10^(-10.45); D = d*x/(s+x)
     x = 10.0 ** (-5.0 * 2.09)
     expected = P.d * x / (P.s + x)
-    assert d_saturation(REF_STATE, P) == pytest.approx(expected, rel=1e-12)
-    assert d_saturation(REF_STATE, P) == pytest.approx(9.9e-10, rel=5e-3)
+    assert process_rates(REF_STATE, P).D == pytest.approx(expected, rel=1e-12)
+    assert process_rates(REF_STATE, P).D == pytest.approx(9.9e-10, rel=5e-3)
 
 
 def test_d_saturation_limits():
     # exact zero at L = 0
-    assert d_saturation(State(0.0, 1e6, 0.0, 0.0, 1e8), P) == 0.0
+    assert process_rates(State(0.0, 1e6, 0.0, 0.0, 1e8), P).D == 0.0
     # strictly below d while (T/L)^l is resolvable...
-    D = d_saturation(State(0.0, 1e-2, 0.0, 1e4, 1e8), P)
+    D = process_rates(State(0.0, 1e-2, 0.0, 1e4, 1e8), P).D
     assert D == pytest.approx(P.d, rel=1e-12)
     assert D < P.d
     # ...and rounds to exactly d once s*(T/L)^l drops below machine epsilon
-    assert d_saturation(State(0.0, 1e-190, 0.0, 1e10, 1e8), P) == P.d
+    assert process_rates(State(0.0, 1e-190, 0.0, 1e10, 1e8), P).D == P.d
     # monotone in L
     Ls = np.logspace(-2, 8, 41)
-    Ds = [d_saturation(State(0.0, 1e5, 0.0, L, 1e8), P) for L in Ls]
+    Ds = [process_rates(State(0.0, 1e5, 0.0, L, 1e8), P).D for L in Ls]
     assert np.all(np.diff(Ds) > 0)
     assert all(0.0 <= D < P.d for D in Ds)
 
 
 def test_extreme_ratio_gradients_finite():
     # deep in the saturated branch the Jacobian must stay finite
-    st_ = State(0.0, 1e-150, 1e3, 1e10, 1e9)
-    J = jacobian(st_, P)
+    J = jacobian_array(np.array([1e-150, 1e3, 1e10, 1e9]), P)
     assert np.all(np.isfinite(J))
 
 
@@ -99,8 +95,8 @@ def test_rhs_equals_stoichiometry_times_rates():
         ps = process_rates(state, P)
         brute = np.zeros(4)
         for k in range(1, N_PROCESSES + 1):
-            brute += STOICHIOMETRY[:, k - 1] * ps.rate(k)
-        g = rhs(state, P)
+            brute += STOICHIOMETRY[:, k - 1] * ps.rates[k - 1]
+        g = rhs_array(state.array(), P)
         scale = np.abs(STOICHIOMETRY) @ np.abs(ps.rates)  # gross turnover
         assert np.all(np.abs(g - brute) <= 1e-12 * scale)
 
@@ -108,43 +104,24 @@ def test_rhs_equals_stoichiometry_times_rates():
 def test_jacobian_matches_finite_differences():
     for state in random_states(100, seed=3):
         y = state.array()
-        assert_jacobian_close(jacobian(state, P), fd_jacobian(y, P), y, rtol=1e-6)
-
-
-def test_rate_jacobian_terms_sum_to_jacobian():
-    for state in random_states(100, seed=5):
-        total = sum(rate_jacobian_term(k, state, P) for k in range(1, 16))
-        J = jacobian(state, P)
-        assert np.allclose(total, J, rtol=1e-12, atol=1e-12 * np.abs(J).max())
-
-
-def test_rate_jacobian_term_examples():
-    # constant lymphocyte source: zero contribution
-    assert np.all(rate_jacobian_term(3, REF_STATE, P) == 0.0)
-    # lymphocyte turnover: only entry (C, C) = -beta
-    term6 = rate_jacobian_term(6, REF_STATE, P)
-    expected = np.zeros((4, 4))
-    expected[3, 3] = -P.beta
-    assert np.array_equal(term6, expected)
-    for bad in (0, 16, -1):
-        with pytest.raises(IndexError):
-            rate_jacobian_term(bad, REF_STATE, P)
+        assert_jacobian_close(jacobian_array(y, P), fd_jacobian(y, P), y, rtol=1e-6)
 
 
 def test_lymphocyte_row_is_linear():
     # dC/dt = alpha - beta*C: Jacobian row is (0, 0, 0, -beta) everywhere
     for state in random_states(20, seed=13):
-        row = jacobian(state, P)[3]
+        row = jacobian_array(state.array(), P)[3]
         assert np.array_equal(row, [0.0, 0.0, 0.0, -P.beta])
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
         State(0.0, 1e6, -1.0, 0.0, 1e8)
+    tumor_free = State(0.0, 0.0, 1e3, 10.0, 6e8)  # T = 0 representable, not evaluable
     with pytest.raises(DomainError):
-        rhs(State(0.0, 0.0, 1e3, 10.0, 6e8), P)  # T = 0 representable, not evaluable
+        rhs_array(tumor_free.array(), P)
     with pytest.raises(DomainError):
-        d_saturation(State(0.0, 0.0, 1e3, 10.0, 6e8), P)
+        process_rates(tumor_free, P)
 
 
 @pytest.mark.parametrize("bad", [
@@ -156,6 +133,16 @@ def test_domain_errors():
 def test_batch_domain_errors(bad):
     with pytest.raises(DomainError):
         jacobian_batch(np.array([REF_STATE.array(), bad]), P)
+
+
+def test_batch_floor_row_with_large_cd8_is_silent_and_finite():
+    # the masked-out L / T lane overflows for T = T_FLOOR and L = 1e9
+    Y = np.array([[T_FLOOR, 1e3, 1e9, 6e8], REF_STATE.array()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = jacobian_batch(Y, P)
+    assert np.all(np.isfinite(J))
+    assert np.array_equal(J[1], jacobian_array(REF_STATE.array(), P))
 
 
 def test_stoichiometry_is_constant_integer():

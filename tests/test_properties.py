@@ -8,7 +8,6 @@ from ticsp.csp import api, decompose, pointer, tpi
 from ticsp.kinetics import (
     STOICHIOMETRY,
     T_FLOOR,
-    d_saturation,
     jacobian_array,
     jacobian_batch,
     process_rates,
@@ -90,8 +89,8 @@ def test_observables_invariant_under_mode_sign_flip(state, mode):
 )
 @settings(**COMMON)
 def test_lysis_saturation_bounded_and_monotone(T, L, factor):
-    d_lo = d_saturation(State(0.0, T, 1.0, L, 1e10), P)
-    d_hi = d_saturation(State(0.0, T, 1.0, L * factor, 1e10), P)
+    d_lo = process_rates(State(0.0, T, 1.0, L, 1e10), P).D
+    d_hi = process_rates(State(0.0, T, 1.0, L * factor, 1e10), P).D
     assert 0.0 <= d_lo <= P.d
     assert 0.0 <= d_hi <= P.d
     assert d_hi >= d_lo  # more effectors, more killing
