@@ -188,7 +188,8 @@ def run_scenario(scenario: Scenario | str,
     """Integrate one scenario and derive the full diagnostic bundle.
 
     Diagnostics records are evaluated at t/t_exp in `checkpoints` (skipped
-    entirely when no explosive stage exists).  M for the importance index is
+    entirely when no explosive stage exists); a negative or non-finite one
+    raises ValueError before the run.  M for the importance index is
     adaptive unless `fixed_M` pins it.  With `settle=False` the attractor is
     classified only from the final state and may come back None on horizons
     too short to approach an equilibrium; otherwise an unclassified run is
@@ -199,6 +200,9 @@ def run_scenario(scenario: Scenario | str,
     The stage and the equilibria are computed once and shared by every
     derived quantity.
     """
+    for frac in checkpoints:
+        if not 0.0 <= frac < np.inf:
+            raise ValueError(f"checkpoints must be nonnegative and finite, got {frac!r}")
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     p = params if params is not None else (scenario.params or DEFAULT_PARAMETERS)

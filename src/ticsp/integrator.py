@@ -8,27 +8,36 @@ the continuous (dense) solution is kept for diagnostics at arbitrary
 times, the stage boundaries among them.
 
 Every run, full or reduced, dense or endpoint-only, goes through one
-`solve_ivp` call site, `_radau`, with the solver class `_Radau`: scipy's
-Radau with its LU factor and solve calling LAPACK directly.  Its steps,
-counters and dense output are bit-identical to the stock solver's; on
-these 4x4 systems scipy's per-call linear-algebra wrappers cost more
-than the arithmetic, and they are what it drops.
+`solve_ivp` call site, `_radau`, with the solver class `_Radau`: a lean
+copy of scipy 1.17.1's Radau step, with LU factor and solve calling
+LAPACK directly.  On these 4x4 systems scipy's per-call wrappers cost
+more than the arithmetic, and they are what it drops; it keeps every
+floating-point operation and its order, so steps, counters and dense
+output stay bit-identical to the stock solver's, which the tests use as
+the oracle.  The full model's right-hand side is one kinetics call,
+`floored_rhs`.
 
 Also provides the basin-of-attraction bisection on the initial tumor
 burden: runs are classified by which stable equilibrium they settle to.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import Radau, solve_ivp
+from scipy.integrate._ivp.radau import (
+    MAX_FACTOR, MIN_FACTOR, MU_COMPLEX, MU_REAL, NEWTON_MAXITER, TI_COMPLEX, TI_REAL,
+    RadauDenseOutput,
+)
+from scipy.integrate._ivp.radau import C as _C, E as _E, P as _P, T as _T, TI as _TI
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
 from .equilibria import Equilibrium, find_hte, tfe
-from .kinetics import DomainError, State, floor_state, jacobian_array, rhs_array
+from .kinetics import DomainError, State, floor_state, floored_rhs, jacobian_array
 from .params import ParameterSet
 
 __all__ = [
@@ -145,20 +154,40 @@ _ZGETRF, _ZGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 class _Radau(Radau):
-    """scipy's Radau IIA with `lu` and `solve_lu` calling LAPACK getrf/getrs
-    directly: the routines, arguments and checks (non-finite input, illegal
-    argument, singular matrix) of `lu_factor(A, overwrite_a=True)` and
-    `lu_solve(LU, b, overwrite_b=True)`, without their per-call batch
-    dispatch and routine lookup."""
+    """scipy 1.17.1's Radau IIA with a lean step and direct LAPACK calls.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    `_step_impl` is a copy of scipy's `Radau._step_impl` with
+    `solve_collocation_system`, `predict_factor`, the RMS `norm` and the
+    previous step's dense-output call written inline.  It performs the same
+    floating-point operations in the same order, on arrays of the same
+    memory layout: every product stays a numpy/BLAS `dot`, whose summation
+    order sets the last bits, the RMS norm is `sqrt(v.dot(v)) / v.size**0.5`
+    as `np.linalg.norm` computes it for a real array, and the Z0 predictor
+    takes the powers x, x*x, (x*x)*x in `cumprod`'s order.  So steps,
+    counters and dense values stay bit-identical to the stock solver's.
+    What it drops is per-call overhead: the RHS wrappers (it calls the raw
+    `fun` and counts `nfev` itself; `fun` must return a float array of
+    shape (n,)), the dense-output object on every step (it is built only
+    when asked for), `np.errstate` and the wrappers around `lu_factor` and
+    `lu_solve`.  `lu` and `solve_lu` call LAPACK getrf/getrs with the
+    routines, arguments and checks (non-finite input, illegal argument,
+    singular matrix) of `lu_factor(A, overwrite_a=True)` and
+    `lu_solve(LU, b, overwrite_b=True)`.  Forward integration only.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, **kwargs):
+        super().__init__(fun, t0, y0, t_bound, **kwargs)
+        if self.direction != 1:
+            raise ValueError("_Radau integrates forward in time only")
+        self._rhs = fun
+        self._Q = None          # previous step's dense-output coefficients
         self.lu = self._lu
         self.solve_lu = self._solve_lu
 
     def _lu(self, A):
         self.nlu += 1
-        A = np.asarray_chkfinite(A)
+        if not np.isfinite(A).all():
+            raise ValueError("array must not contain infs or NaNs")
         getrf = _ZGETRF if A.dtype.kind == "c" else _DGETRF
         lu, piv, info = getrf(A, overwrite_a=True)
         if info < 0:
@@ -171,12 +200,178 @@ class _Radau(Radau):
     @staticmethod
     def _solve_lu(LU, b):
         lu, piv = LU
-        b = np.asarray_chkfinite(b)
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
         getrs = _ZGETRS if lu.dtype.kind == "c" else _DGETRS  # b is of the same kind
         x, info = getrs(lu, piv, b, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal getrs")
         return x
+
+    def _step_impl(self):
+        t, y, f = self.t, self.y, self.f
+        rhs, solve_lu, jac = self._rhs, self.solve_lu, self.jac
+        atol, rtol, tol, I = self.atol, self.rtol, self.newton_tol, self.I
+        n = y.shape[0]
+        root_n, root_3n = n ** 0.5, (3 * n) ** 0.5     # RMS norm divisors
+
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs, h_abs_old, error_norm_old = self.max_step, None, None
+        elif self.h_abs < min_step:
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
+        else:
+            h_abs, h_abs_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
+
+        J, LU_real, LU_complex = self.J, self.LU_real, self.LU_complex
+        current_jac = self.current_jac
+        Q = self._Q
+        if Q is not None:
+            t_prev, h_prev = self.t_old, t - self.t_old
+
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+
+            t_new = t + h_abs
+            if t_new - self.t_bound > 0:
+                t_new = self.t_bound
+            h = h_abs = t_new - t
+
+            ch = h * _C
+            if Q is None:
+                Z0 = np.zeros((3, n))
+            else:
+                # the previous step's dense output at t + h*C
+                x = (t + ch - t_prev) / h_prev
+                x2 = x * x
+                Z0 = (Q.dot(np.array([x, x2, x2 * x])) + self.y_old[:, None]).T - y
+
+            scale = atol + np.abs(y) * rtol
+
+            converged = False
+            while not converged:
+                if LU_real is None or LU_complex is None:
+                    LU_real = self.lu(MU_REAL / h * I - J)
+                    LU_complex = self.lu(MU_COMPLEX / h * I - J)
+
+                # scipy's solve_collocation_system
+                M_real = MU_REAL / h
+                M_complex = MU_COMPLEX / h
+                W = _TI.dot(Z0)
+                Z = Z0
+                F = np.empty((3, n))
+                dW = np.empty_like(W)
+                dW_norm_old = None
+                rate = None
+                for k in range(NEWTON_MAXITER):
+                    F[0] = rhs(t + ch[0], y + Z[0])
+                    F[1] = rhs(t + ch[1], y + Z[1])
+                    F[2] = rhs(t + ch[2], y + Z[2])
+                    self.nfev += 3
+                    if not np.isfinite(F).all():
+                        break
+
+                    f_real = F.T.dot(TI_REAL) - M_real * W[0]
+                    f_complex = F.T.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+                    dW[0] = solve_lu(LU_real, f_real)
+                    dW_complex = solve_lu(LU_complex, f_complex)
+                    dW[1] = dW_complex.real
+                    dW[2] = dW_complex.imag
+
+                    v = (dW / scale).ravel()
+                    dW_norm = np.sqrt(v.dot(v)) / root_3n
+                    if dW_norm_old is not None:
+                        rate = dW_norm / dW_norm_old
+                        if rate >= 1 or rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol:
+                            break
+
+                    W += dW
+                    Z = _T.dot(W)
+
+                    if dW_norm == 0 or rate is not None and rate / (1 - rate) * dW_norm < tol:
+                        converged = True
+                        break
+
+                    dW_norm_old = dW_norm
+                n_iter = k + 1
+
+                if not converged:
+                    if current_jac:
+                        break
+                    J = jac(t, y, f)
+                    current_jac = True
+                    LU_real = LU_complex = None
+
+            if not converged:
+                h_abs *= 0.5
+                LU_real = LU_complex = None
+                continue
+
+            y_new = y + Z[-1]
+            ZE = Z.T.dot(_E) / h
+            error = solve_lu(LU_real, f + ZE)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            v = error / scale
+            error_norm = np.sqrt(v.dot(v)) / root_n
+            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
+
+            if rejected and error_norm > 1:
+                self.nfev += 1
+                error = solve_lu(LU_real, rhs(t, y + error) + ZE)
+                v = error / scale
+                error_norm = np.sqrt(v.dot(v)) / root_n
+
+            if not error_norm > 1:
+                break
+            h_abs *= max(MIN_FACTOR, safety * _step_factor(h_abs, h_abs_old,
+                                                            error_norm, error_norm_old))
+            LU_real = LU_complex = None
+            rejected = True
+
+        recompute_jac = jac is not None and n_iter > 2 and rate > 1e-3
+
+        factor = min(MAX_FACTOR, safety * _step_factor(h_abs, h_abs_old,
+                                                       error_norm, error_norm_old))
+        if not recompute_jac and factor < 1.2:
+            factor = 1
+        else:
+            LU_real = LU_complex = None
+
+        self.nfev += 1
+        f_new = rhs(t_new, y_new)
+        if recompute_jac:
+            J = jac(t_new, y_new, f_new)
+            current_jac = True
+        elif jac is not None:
+            current_jac = False
+
+        self.h_abs_old = self.h_abs
+        self.error_norm_old = error_norm
+        self.h_abs = h_abs * factor
+        self.y_old = y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.LU_real, self.LU_complex = LU_real, LU_complex
+        self.current_jac, self.J = current_jac, J
+        self.t_old = t
+        self._Q = np.dot(Z.T, _P)
+        return True, None
+
+    def _dense_output_impl(self):
+        return RadauDenseOutput(self.t_old, self.t, self.y_old, self._Q)
+
+
+def _step_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    """scipy's `predict_factor`, with error_norm = 0 (a factor of inf, which
+    the caller caps) taken explicitly instead of under `np.errstate`."""
+    if error_norm == 0:
+        return np.inf
+    if error_norm_old is None or h_abs_old is None:
+        multiplier = 1
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1, multiplier) * error_norm ** -0.25
 
 
 def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
@@ -205,7 +400,7 @@ def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
 
 def _full_model(params: ParameterSet):
     """The full model's (t, y) right-hand side and Jacobian for `_radau`."""
-    return (lambda t, y: rhs_array(floor_state(y), params),
+    return (lambda t, y: floored_rhs(y, params),
             lambda t, y: jacobian_array(floor_state(y), params))
 
 
@@ -322,13 +517,18 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     Returns the high side of a <= 1 cell bracket: re-simulating at the
     returned value reaches the high-tumor attractor; one cell below
     falls to the tumor-free side (the basin boundary is monotone in
-    T(0) at fixed immune initial conditions).
+    T(0) at fixed immune initial conditions).  Raises ValueError before
+    any run for a negative or non-finite N0, L0 or C0 and for a bracket
+    that is not 0 < low < high < inf.
     """
+    for name, value in (("N0", N0), ("L0", L0), ("C0", C0)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    lo, hi = (float(v) for v in T_bracket)
+    if not 0.0 < lo < hi < np.inf:
+        raise ValueError(f"T_bracket must satisfy 0 < low < high < inf, got {T_bracket}")
     cfg = config or IntegratorConfig()
     targets = stable_equilibria(params)
-    lo, hi = (float(v) for v in T_bracket)
-    if not 0.0 < lo < hi:
-        raise ValueError(f"invalid T bracket {T_bracket}")
 
     def run(T0: float) -> str:
         return settle_attractor(np.array([T0, N0, L0, C0]), params, cfg, targets)

@@ -43,7 +43,7 @@ __all__ = [
     "VARIABLES", "N_PROCESSES", "STOICHIOMETRY", "PROCESS_LABELS",
     "DomainError", "State", "ProcessSet", "process_rates",
     "rates_array", "rhs_array", "jacobian_array", "jacobian_batch",
-    "T_FLOOR", "floor_state",
+    "T_FLOOR", "floor_state", "floored_rhs",
 ]
 
 VARIABLES = ("T", "N", "L", "C")
@@ -251,6 +251,24 @@ def rates_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
 def rhs_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
     """Time derivative (dT, dN, dL, dC)/dt = S @ R at a state array (4,)."""
     return STOICHIOMETRY @ rates_array(y, p)
+
+
+def floored_rhs(y: np.ndarray, p: ParameterSet) -> np.ndarray:
+    """The full model's solver right-hand side: `rhs_array(floor_state(y), p)`
+    bit for bit, in one call.  The floor is taken with float compares; N, L
+    and C go to 0 at `<=`, so -0.0 becomes 0.0 as in `np.maximum`, and NaN
+    stays NaN and is rejected."""
+    T, N, L, C = y.tolist()
+    if T < T_FLOOR:
+        T = T_FLOOR
+    if N <= 0.0:
+        N = 0.0
+    if L <= 0.0:
+        L = 0.0
+    if C <= 0.0:
+        C = 0.0
+    _require_dynamic(T, N, L, C)
+    return STOICHIOMETRY @ np.array(_rates(T, N, L, C, _saturation(T, L, p)[0], p))
 
 
 def jacobian_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:

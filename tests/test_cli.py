@@ -146,6 +146,17 @@ def test_csp_custom_checkpoints(tmp_path):
     assert len(lines) == 1 + (4 * 34 + 60)
 
 
+@pytest.mark.parametrize("bad", ["nan", "-0.5", "0.5,inf"])
+def test_csp_bad_checkpoint_fails_before_the_run(bad, tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "integrator.integrate")
+    out = tmp_path / "csp"
+    assert run_cli("csp", "--scenario", "TP", "--checkpoints", bad, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checkpoints must be nonnegative")
+    assert not calls
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -216,6 +227,29 @@ def test_threshold_bad_bracket(tmp_path, capsys):
     assert run_cli("threshold", "--bracket", 1e9, 2e9,
                    "--out", tmp_path / "x") != 0
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--N0", "-5"], "N0"),
+    (["--L0", "nan"], "L0"),
+    (["--C0", "inf"], "C0"),
+])
+def test_threshold_rejects_impossible_immune_state(argv, name, tmp_path, capsys):
+    out = tmp_path / "thr"
+    assert run_cli("threshold", *argv, "--bracket", 319000, 320000, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} must be nonnegative")
+    assert not out.exists()
+
+
+def test_threshold_rejects_infinite_bracket(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "integrator.settle_attractor")
+    out = tmp_path / "thr"
+    assert run_cli("threshold", "--bracket", 319000, "inf", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: T_bracket must satisfy")
+    assert not calls
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,14 @@ def test_stage_and_equilibria_computed_once(monkeypatch):
     assert calls == {"csp.explosive_stage": 1, "equilibria.find_hte": 1}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_bad_checkpoint_fails_before_the_run(bad, monkeypatch):
+    calls = count_calls(monkeypatch, "integrator.integrate")
+    with pytest.raises(ValueError, match=f"^checkpoints must be nonnegative and finite, got {bad!r}"):
+        run_scenario("TP", checkpoints=(0.5, bad))
+    assert not calls
+
+
 def test_unmet_expect_raises():
     scn = dataclasses.replace(SCENARIOS["TR"], expect="HTE")
     with pytest.raises(RuntimeError, match="'TR'.*TFE.*expected HTE"):

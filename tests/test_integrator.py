@@ -1,7 +1,8 @@
 """Integration, dense evaluation, and basin bisection."""
 import numpy as np
 import pytest
-from scipy.integrate import Radau
+from scipy.integrate import Radau, solve_ivp
+from scipy.integrate._ivp import radau as scipy_radau
 from scipy.linalg import LinAlgWarning
 
 from ticsp import DEFAULT_PARAMETERS, State, integrator
@@ -24,6 +25,8 @@ from ticsp.integrator import (
 )
 from ticsp.kinetics import DomainError
 from ticsp.reduction import simulate_reduced
+
+from helpers import count_calls
 
 P = DEFAULT_PARAMETERS
 
@@ -194,6 +197,82 @@ def test_radau_subclass_lu_overrides_are_live(fast_and_stock):
     assert calls["solve_lu"] > calls["lu"]
 
 
+def _jump(t, y):
+    return np.array([-50.0 * (y[0] - (1.0 if t > 1.0 else 0.0))])
+
+
+def _van_der_pol(t, y, mu=1e3):
+    return np.array([y[1], mu * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
+def _van_der_pol_jac(t, y, mu=1e3):
+    return np.array([[0.0, 1.0], [-2.0 * mu * y[0] * y[1] - 1.0, mu * (1.0 - y[0] ** 2)]])
+
+
+#: Small systems that reach the step's rarer branches, as (fun, jac, span,
+#: y0, options).  "jump": rejected steps followed by a second error estimate
+#: (17 of them), at a right-hand side that jumps at t = 1.  "blow-up":
+#: y' = y^2 blows up at t = 1, so the step size collapses (status -1).
+#: "van der Pol" (mu = 1e3): Newton failures with a stale and with a fresh
+#: Jacobian, and Jacobian refreshes.  "constant": an error estimate of
+#: exactly 0.  "decay": a `max_step` cap.
+TOY_SYSTEMS = {
+    "jump": (_jump, lambda t, y: np.array([[-50.0]]), (0.0, 2.0), [0.0], {"rtol": 1e-6}),
+    "blow-up": (lambda t, y: y * y, lambda t, y: np.array([[2.0 * y[0]]]),
+                (0.0, 2.0), [1.0], {}),
+    "van der Pol": (_van_der_pol, _van_der_pol_jac, (0.0, 3000.0), [2.0, 0.0],
+                    {"rtol": 1e-3}),
+    "constant": (lambda t, y: np.zeros(2), lambda t, y: np.zeros((2, 2)),
+                 (0.0, 1e6), [1.0, 2.0], {}),
+    "decay": (lambda t, y: -y, lambda t, y: -np.eye(3), (0.0, 10.0), [1.0, 2.0, 3.0],
+              {"max_step": 0.5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_SYSTEMS))
+def test_radau_subclass_matches_stock_on_toy_systems(name):
+    fun, jac, span, y0, options = TOY_SYSTEMS[name]
+    fast, stock = (solve_ivp(fun, span, np.array(y0), method=method, jac=jac,
+                             dense_output=True, **options)
+                   for method in (_Radau, Radau))
+    assert fast.status == (-1 if name == "blow-up" else 0)
+    assert (fast.status, fast.nfev, fast.njev, fast.nlu) == \
+        (stock.status, stock.nfev, stock.njev, stock.nlu)
+    assert fast.t.tobytes() == stock.t.tobytes()
+    assert fast.y.tobytes() == stock.y.tobytes()
+    assert fast.sol.ts.tobytes() == stock.sol.ts.tobytes()
+    t = np.linspace(fast.t[0], fast.t[-1], 1001)
+    assert fast.sol(t).tobytes() == stock.sol(t).tobytes()
+
+
+def test_radau_subclass_step_is_live(monkeypatch):
+    # scipy's step helpers are never reached, and scipy still calls
+    # `_step_impl`: a release that renames it must fail here, not silently
+    # fall back to the stock step
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stock Radau step helper called")
+
+    monkeypatch.setattr(scipy_radau, "solve_collocation_system", forbidden)
+    monkeypatch.setattr(scipy_radau, "predict_factor", forbidden)
+    calls = []
+    step = _Radau._step_impl
+
+    def counted_step(self):
+        calls.append(self.t)
+        return step(self)
+
+    monkeypatch.setattr(_Radau, "_step_impl", counted_step)
+    cfg = IntegratorConfig(t_end=30.0)
+    *_, stats = _radau(*_full_model(P), TP0.array(), cfg.t_end, cfg, "test", cfg.grid())
+    assert stats.status == 0
+    assert len(calls) == stats.steps > 0
+
+
+def test_radau_subclass_integrates_forward_only():
+    with pytest.raises(ValueError, match="forward"):
+        _Radau(lambda t, y: -y, 1.0, np.ones(2), 0.0)
+
+
 def test_radau_subclass_keeps_the_lu_checks():
     solver = _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0)
     nlu = solver.nlu
@@ -299,3 +378,25 @@ def test_basin_threshold_rejects_same_side():
 def test_basin_threshold_rejects_bad_bracket():
     with pytest.raises(ValueError):
         basin_threshold(1e3, 1e1, 6e8, P, (1e6, 1e5))
+
+
+@pytest.mark.parametrize("bad", [-5.0, -1e-300, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["N0", "L0", "C0"])
+def test_basin_threshold_rejects_impossible_immune_state_before_any_run(
+        name, bad, monkeypatch):
+    calls = count_calls(monkeypatch, "integrator.stable_equilibria",
+                        "integrator.settle_attractor")
+    immune = {"N0": 1e3, "L0": 1e1, "C0": 6e8, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite"):
+        basin_threshold(immune["N0"], immune["L0"], immune["C0"], P, (319000.0, 320000.0))
+    assert not calls
+
+
+@pytest.mark.parametrize("bracket", [(319000.0, np.inf), (np.nan, 320000.0),
+                                     (319000.0, np.nan), (0.0, 1e6), (1e6, 1e6)])
+def test_basin_threshold_rejects_bad_bracket_before_any_run(bracket, monkeypatch):
+    calls = count_calls(monkeypatch, "integrator.stable_equilibria",
+                        "integrator.settle_attractor")
+    with pytest.raises(ValueError, match="^T_bracket must satisfy"):
+        basin_threshold(1e3, 1e1, 6e8, P, bracket)
+    assert not calls

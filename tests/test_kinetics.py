@@ -15,7 +15,14 @@ from ticsp import (
     State,
     process_rates,
 )
-from ticsp.kinetics import T_FLOOR, floor_state, jacobian_array, jacobian_batch, rhs_array
+from ticsp.kinetics import (
+    T_FLOOR,
+    floor_state,
+    floored_rhs,
+    jacobian_array,
+    jacobian_batch,
+    rhs_array,
+)
 from helpers import assert_jacobian_close, count_calls, fd_jacobian, random_states
 
 P = DEFAULT_PARAMETERS
@@ -213,6 +220,31 @@ def test_floor_passes_nan_to_the_kinetics():
     for z in Z:
         with pytest.raises(DomainError):
             jacobian_batch(z[None], P)
+
+
+def test_floored_rhs_is_rhs_of_floored_state_bit_for_bit():
+    Y = np.array([
+        [-1.0, 1e3, 10.0, 6e8],
+        [0.0, 1e3, 10.0, 6e8],
+        [-0.0, -0.0, -0.0, -0.0],         # np.maximum lifts -0.0 to +0.0
+        [SUBNORMAL, 1e3, 10.0, 6e8],
+        [T_FLOOR, 0.0, 0.0, 0.0],
+        [1e6, -2e-7, -0.5, -1e9],
+        [2e-300, SUBNORMAL, 1e-310, 1e-5],
+        [9.8e8, 1.2e5, 3.3e7, 6.25e10],
+    ] + [s.array() for s in random_states(40, seed=11)])
+    before = Y.copy()
+    for y in Y:
+        assert floored_rhs(y, P).tobytes() == rhs_array(floor_state(y), P).tobytes(), y
+    assert Y.tobytes() == before.tobytes()       # input left untouched
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+def test_floored_rhs_rejects_nan(column):
+    y = np.array([1e6, 1e3, 10.0, 6e8])
+    y[column] = np.nan
+    with pytest.raises(DomainError):
+        floored_rhs(y, P)
 
 
 @pytest.mark.parametrize("column", [1, 2, 3])
