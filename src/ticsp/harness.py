@@ -189,11 +189,15 @@ def run_scenario(scenario: Scenario | str,
 
     Diagnostics records are evaluated at t/t_exp in `checkpoints` (skipped
     entirely when no explosive stage exists); a negative or non-finite one
-    raises ValueError before the run.  M for the importance index is
-    adaptive unless `fixed_M` pins it.  With `settle=False` the attractor is
-    classified only from the final state and may come back None on horizons
-    too short to approach an equilibrium; otherwise an unclassified run is
-    integrated further until it settles (and raises if it never does).
+    raises ValueError before the run, and one past the run's end raises
+    ValueError before any record is evaluated.  M for the importance index
+    is adaptive unless `fixed_M` pins it.  With `settle=False` the attractor
+    is classified only from the final state and may come back None on
+    horizons too short to approach an equilibrium; otherwise an
+    unclassified run goes to `settle_attractor`, which labels a final
+    state already in a certified region without another solver run and
+    otherwise integrates further until the run settles (and raises if it
+    never does).
     An integration that stops before the horizon raises IntegrationError;
     a classified attractor other than the scenario's `expect` raises
     RuntimeError.
@@ -217,6 +221,11 @@ def run_scenario(scenario: Scenario | str,
     stage = explosive_stage(traj, p)
     records = []
     if stage is not None:
+        for frac in checkpoints:
+            if frac * stage.t_exp > traj.t[-1]:
+                raise ValueError(
+                    f"checkpoint {frac!r} x t_exp = {frac * stage.t_exp:.6g} days is "
+                    f"past the run's end at t = {traj.t[-1]:.6g} days")
         for frac in checkpoints:
             s = evaluate_dense(traj, frac * stage.t_exp)
             records.append(diagnostics_record(s, p, t_over_texp=frac, fixed_M=fixed_M))

@@ -18,10 +18,14 @@ the oracle.  The full model's right-hand side is one kinetics call,
 `floored_rhs`.
 
 Also provides the basin-of-attraction bisection on the initial tumor
-burden: runs are classified by which stable equilibrium they settle to.
+burden: runs are classified by which stable equilibrium they settle to,
+and a run stops as soon as it enters a region proven to lead to one of
+them (`_extinction_region`, `_escape_region`).
 """
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +41,9 @@ from scipy.integrate._ivp.radau import C as _C, E as _E, P as _P, T as _T, TI as
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
 from .equilibria import Equilibrium, find_hte, tfe
-from .kinetics import DomainError, State, floor_state, floored_rhs, jacobian_array
+from .kinetics import (
+    DomainError, State, _saturation, floor_state, floored_rhs, jacobian_array,
+)
 from .params import ParameterSet
 
 __all__ = [
@@ -46,6 +52,7 @@ __all__ = [
     "stable_equilibria", "classify_attractor", "settle_attractor",
 ]
 
+_LOGGER = logging.getLogger("ticsp")
 _LOG_START = 1e-4
 _LOG_UNTIL = 5.0
 _N_LOG = 61
@@ -375,23 +382,25 @@ def _step_factor(h_abs, h_abs_old, error_norm, error_norm_old):
 
 
 def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
-           where: str, grid: Optional[np.ndarray] = None):
+           where: str, grid: Optional[np.ndarray] = None, stop=None):
     """The package's one Radau run, from t = 0 to t_end.
 
     `fun` and `jac` take (t, y).  With an output `grid` the dense
     interpolant is kept and the states on the grid are returned; without
     one only the endpoint state is.  Returns (t, y, dense, stats) with y
     clipped by `_clip_undershoot`.  A step-size collapse returns the
-    partial solution with status -1 in the stats.
+    partial solution with status -1 in the stats.  `stop(t, y)`, for
+    endpoint-only runs, is a terminal event: the run ends where it turns
+    nonnegative, the returned state is there and the status is 1.
     """
     sol = solve_ivp(fun, (0.0, t_end), y0, method=_Radau, jac=jac,
                     rtol=cfg.rtol, atol=cfg.atol,
-                    dense_output=grid is not None, t_eval=grid)
-    if sol.status not in (0, -1):
+                    dense_output=grid is not None, t_eval=grid, events=stop)
+    if sol.status not in (0, -1, 1):
         raise IntegrationError(f"unexpected solver status {sol.status}: {sol.message}")
     y = sol.y.T.copy() if grid is not None else sol.y[:, -1].copy()
     stats = SolverStats(
-        steps=max(len(sol.sol.ts) - 1, 0) if sol.sol is not None else 0,
+        steps=max(len(sol.sol.ts) if sol.sol is not None else len(sol.t), 1) - 1,
         nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
         status=sol.status, message=sol.message.strip(),
     )
@@ -475,14 +484,195 @@ def classify_attractor(y: np.ndarray, targets: list[Equilibrium],
     return best_kind if tol is None or best_dist < tol else None
 
 
-def _final_state(y0: np.ndarray, t_end: float, params: ParameterSet,
-                 cfg: IntegratorConfig) -> np.ndarray:
-    """Endpoint-only integration (no dense output), for classification runs."""
-    fun, jac = _full_model(params)
-    _, y, _, stats = _radau(fun, jac, y0, t_end, cfg, "settle")
-    if stats.status != 0:
-        raise IntegrationError(f"classification run failed: {stats.message}")
-    return y
+#: The extinction region's floor on L/T and ceiling on T (cells), the escape
+#: region's floor on T (cells, about twice the default saddle HTE's T*) and
+#: the headroom of its ceiling on L/T over the least that keeps it invariant.
+_EXTINCTION_K = 1.0
+_EXTINCTION_T = 1e3
+_ESCAPE_T = 4e7
+_ESCAPE_HEADROOM = 1.25
+_WIDEN = 1e-9   # relative widening of the escape region's limit box
+
+
+def _kill_factor(p: ParameterSet, ratio: float) -> float:
+    """The kill factor D = d x/(s + x), x = (L/T)^l, at L/T = `ratio`."""
+    return _saturation(1.0, ratio, p)[0]
+
+
+def _extinction_region(p: ParameterSet, C0: float):
+    """`inside(y)`, nonnegative exactly on a region E proven to lie in the
+    TFE's basin for runs from a state with C = C0; None if E is not proven
+    for these parameters.
+
+    E = {T <= T_c, L >= K T, N <= N_b}, with K = `_EXTINCTION_K`,
+    T_c = `_EXTINCTION_T`, C_b = max(C0, alpha/beta) and
+    N_b = e C_b / (f - g) (f > g is required).  The derivation, along any
+    run (all populations stay nonnegative, T > 0):
+
+    - C. Cdot = alpha - beta C has the closed form
+      C(t) = alpha/beta + (C0 - alpha/beta) e^(-beta t), so C <= C_b.
+    - N. The recruitment saturation T^2/(h + T^2) is below 1 and pNT > 0,
+      so Ndot < e C_b - (f - g) N, which is <= 0 at N = N_b.
+    - T. The kill factor D = d x/(s + x), x = (L/T)^l, increases with L/T,
+      so on L >= K T, D >= D(K) and Tdot/T = a(1 - bT) - cN - D <= a - D(K).
+    - L >= K T. Dropping the nonnegative recruitment and priming terms,
+      Ldot >= -L (m + qT + uNL).  On the face L = K T, uNL <= u N_b K T_c
+      and qT <= q T_c, while K Tdot <= K T (a - D(K)), so
+      d/dt (L - K T) >= K T [D(K) - a - m - q T_c - u N_b K T_c].
+
+    So when the margin D(K) - (a + m + q T_c + u N_b K T_c) is positive,
+    every face of E is crossed inward strictly and E is forward invariant
+    (the comparison lemma, Khalil, Nonlinear Systems, 3rd ed., section 3.4,
+    face by face).  Inside E, T <= T(t0) e^(-(D(K) - a)(t - t0)).  The
+    (N, L, C) limit system with T = 0, Cdot = alpha - beta C,
+    Ndot = eC - fN, Ldot = -mL - uNL^2, goes to (alpha e/(beta f), 0,
+    alpha/beta); the terms that tie it to T (NK recruitment and
+    inactivation, CD8+ recruitment jW/(k + W) with W = (DT)^2 <= (dT)^2,
+    priming, inactivation) are bounded by constants times T and decay
+    exponentially, so N and C follow their linear limits and L falls at
+    rate m/2 or faster once jW/(k + W) < m/2.  Every run that enters E
+    goes to the TFE.  With the default parameters the margin is 1.39/day.
+    """
+    if not p.f > p.g:
+        return None
+    K, T_c = _EXTINCTION_K, _EXTINCTION_T
+    N_b = p.e * max(C0, p.alpha / p.beta) / (p.f - p.g)
+    if not _kill_factor(p, K) - (p.a + p.m + p.q * T_c + p.u * N_b * K * T_c) > 0.0:
+        return None
+
+    def inside(y):
+        T, N, L, _ = y.tolist()
+        return min(T_c - T, L - K * T, N_b - N)
+
+    return inside
+
+
+def _escape_region(p: ParameterSet, C0: float, targets: list[Equilibrium]):
+    """`inside(y)`, nonnegative exactly on a region H proven to lead every
+    run from a state with C = C0 to a stable HTE that the classifier names;
+    None if that is not proven for these parameters and targets.
+
+    H = {T >= T_h, L <= K_h T, N <= N_h}, with T_h = `_ESCAPE_T`,
+    C_b = max(C0, alpha/beta), N_h = e C_b / (f - g + p T_h) and
+    K_h = `_ESCAPE_HEADROOM` (r1 N_h + r2 C_b) / (q T_h + m - j).  It needs
+    q > a b and m > j.  The derivation, along any run that enters H:
+
+    1. H is forward invariant (the comparison lemma, face by face, as in
+       `_extinction_region`; C <= C_b throughout).
+       - N = N_h: Ndot = eC - N (f - g T^2/(h + T^2) + pT)
+         < e C_b - N_h (f - g + p T_h) = 0.
+       - T = T_h: with D increasing in L/T, Tdot/T >= mu_T =
+         a(1 - b T_h) - c N_h - D(K_h), which must be positive.
+       - L = K_h T: Ldot <= L (j - m - qT) + (r1 N_h + r2 C_b) T, dropping
+         -uNL^2 and bounding jW/(k + W) by j, and Tdot >= T (a(1 - bT)
+         - c N_h - D(K_h)), so d/dt (L - K_h T) <= T [r1 N_h + r2 C_b
+         - K_h ((q - ab) T + a + m - j - c N_h - D(K_h))].  The bracket
+         grows with T (q > ab) and is at least q T_h + m - j + mu_T at
+         T_h, so the choice of K_h makes this negative.
+       The run stays bounded (T <= max(T(t0), 1/b) as Tdot <= aT(1 - bT)),
+       so its omega-limit set W is nonempty, compact and invariant, and
+       lies in C = C* = alpha/beta.
+    2. W lies in a box B.  By the fluctuation lemma (Hirsch, Hanisch and
+       Gabriel 1985) each variable reaches its limsup and its liminf
+       along times where its derivative goes to 0.  Writing ^ and _ for
+       limsup and liminf, with T^ <= 1/b and any lower bound t of T_
+       (first t = T_h), the N, L and T equations at those times give
+         N^ <= e C* / (f - g + p t),      N_ >= e C* / (f + p/b),
+         L^ <= (r1 N^ + r2 C*) (1/b) / (m - j + q/b),
+         T_ >= (1 - (c N^ + D(min(L^/t, K_h))) / a) / b,
+         L_ >= (r1 N_ + r2 C*) t / (m + q t + u N^ L^),
+       using that T/(m - j + qT) and T/(m + qT + const) grow with T.  The
+       T line is a new lower bound t; six rounds of it make B =
+       [t, 1/b] x [N_, N^] x [L_, L^], which `_WIDEN` widens against
+       rounding.
+    3. W is one point.  On B (with C = C*) each entry of the (T, N, L)
+       Jacobian is bounded by monotone pieces: D in [D(L_ b), D(L^/t)],
+       the saturation sigma in (0, 1], and the CD8+ recruitment
+       derivative 2Vk/(k + V^2)^2 <= 2k/V^3 with V = DT >= D(L_ b) t.  The
+       bounds form a Metzler matrix M (diagonal: upper bounds, off the
+       diagonal: bounds of the magnitudes); w = -M^-1 1 > 0 with M w < 0
+       shows that the matrix measure of the Jacobian in the weighted
+       max-norm |x_i|/w_i is at most -c < 0 on B.  B is convex, so the
+       runs from two points of W (which stay in W) draw together at the
+       rate c; as W is invariant, any two of its points are the images
+       after time s of two others, so their distance is at most
+       e^(-cs) diam W for every s.  W is a single equilibrium, the only
+       one in B, and the run converges to it.
+    4. The classifier names every corner of B (with C = C*) HTE; its
+       distance to a target is convex in the state and the TFE is far,
+       so it names that equilibrium HTE too.
+
+    With the default parameters: mu_T = 0.25/day, K_h = 0.089, and B
+    spans 3e-4 of T* = 9.8e8 around the stable HTE.
+    """
+    C_s = p.alpha / p.beta
+    T_h, T_hi = _ESCAPE_T, 1.0 / p.b
+    if not (p.q > p.a * p.b and p.m > p.j and p.f - p.g + p.p * T_h > 0.0):
+        return None
+    C_b = max(C0, C_s)
+    N_h = p.e * C_b / (p.f - p.g + p.p * T_h)
+    K_h = _ESCAPE_HEADROOM * (p.r1 * N_h + p.r2 * C_b) / (p.q * T_h + p.m - p.j)
+    if not p.a * (1.0 - p.b * T_h) - p.c * N_h - _kill_factor(p, K_h) > 0.0:
+        return None
+
+    t = T_h
+    for _ in range(6):
+        N_hi = p.e * C_s / (p.f - p.g + p.p * t)
+        L_hi = (p.r1 * N_hi + p.r2 * C_s) * T_hi / (p.m - p.j + p.q * T_hi)
+        t = max(t, (1.0 - (p.c * N_hi + _kill_factor(p, min(L_hi / t, K_h))) / p.a) / p.b)
+    N_lo = p.e * C_s / (p.f + p.p * T_hi)
+    L_lo = (p.r1 * N_lo + p.r2 * C_s) * t / (p.m + p.q * t + p.u * N_hi * L_hi)
+    lo, hi = 1.0 - _WIDEN, 1.0 + _WIDEN
+    t, T_hi, N_lo, N_hi, L_lo, L_hi = t * lo, T_hi * hi, N_lo * lo, N_hi * hi, L_lo * lo, L_hi * hi
+
+    D_lo, D_hi = _kill_factor(p, L_lo / T_hi), _kill_factor(p, L_hi / t)
+    if not (D_lo * t) ** 3 > 0.0:
+        return None
+    rec = 2.0 * p.k / (D_lo * t) ** 3          # bounds 2Vk/(k + V^2)^2
+    dV_dL = p.l * D_hi * T_hi / L_lo           # bounds T dD/dL = l D sigma T/L
+    M = np.array([
+        [p.a * (1.0 - 2.0 * p.b * t) - p.c * N_lo + D_hi * max(p.l - 1.0, 0.0),
+         p.c * T_hi, dV_dL],
+        [N_hi * (2.0 * p.g * p.h * T_hi / (p.h + t * t) ** 2 + p.p),
+         p.g - p.f - p.p * t, 0.0],
+        [p.j * L_hi * rec * D_hi * max(1.0, p.l - 1.0)
+         + max(abs(p.r1 * N_lo + p.r2 * C_s - p.q * L_hi),
+               abs(p.r1 * N_hi + p.r2 * C_s - p.q * L_lo)),
+         max(abs(p.r1 * t - p.u * L_hi ** 2), abs(p.r1 * T_hi - p.u * L_lo ** 2)),
+         p.j - p.m + p.j * L_hi * rec * dV_dL - p.q * t],
+    ])
+    if not np.all(np.isfinite(M)):
+        return None
+    w = np.linalg.solve(M, -np.ones(3))
+    if not (np.all(w > 0.0) and np.all(M @ w < 0.0)):
+        return None
+    corners = itertools.product((t, T_hi), (N_lo, N_hi), (L_lo, L_hi), (C_s,))
+    if any(classify_attractor(np.array(c), targets) != "HTE" for c in corners):
+        return None
+
+    def inside(y):
+        T, N, L, _ = y.tolist()
+        return min(T - T_h, K_h * T - L, N_h - N)
+
+    return inside
+
+
+def _certificates(params: ParameterSet, C0: float, targets: list[Equilibrium]):
+    """The region certificates that hold for these parameters, C0 and
+    targets, as (label, rule, inside) triples."""
+    out = []
+    if any(eq.kind == "TFE" for eq in targets):
+        out.append(("TFE", "extinction certificate", _extinction_region(params, C0)))
+    if any(eq.kind == "HTE" for eq in targets):
+        out.append(("HTE", "escape certificate", _escape_region(params, C0, targets)))
+    return [c for c in out if c[2] is not None]
+
+
+def _entered(certificates, y: np.ndarray) -> tuple[str, str]:
+    """(label, rule) of the certificate whose region `y` lies deepest in;
+    the regions are far apart, so at a stop that is the one entered."""
+    label, rule, _ = max(certificates, key=lambda c: c[2](y))
+    return label, rule
 
 
 def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
@@ -490,8 +680,14 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
                      targets: Optional[list[Equilibrium]] = None) -> str:
     """Integrate until the run settles onto a stable equilibrium.
 
-    Classifies at t_end; if undecided (the slow lymphocyte pool relaxes
-    on the 1/beta ~ 80 day scale), extends once by 2x t_end.
+    The run stops as soon as it enters a region proven to lead to one of
+    `targets` (`_extinction_region` for the TFE, `_escape_region` for the
+    stable HTE) and takes that label; a state already in one takes no run
+    at all.  Otherwise it is classified at t_end and, if undecided (C
+    relaxes on the 1/beta ~ 80 day scale), after one extension of
+    2x t_end; still undecided, it raises RuntimeError.  The deciding rule,
+    the time since y0 and the solver steps are logged to the "ticsp"
+    logger at DEBUG.
     """
     cfg = config or IntegratorConfig()
     if targets is None:
@@ -499,13 +695,37 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
     if not targets:
         raise RuntimeError("no stable equilibria to classify against")
     y = y0.array() if isinstance(y0, State) else np.asarray(y0, dtype=float)
-    y = _final_state(y, cfg.t_end, params, cfg)
-    label = classify_attractor(y, targets)
-    if label is None:
-        y = _final_state(y, 2.0 * cfg.t_end, params, cfg)
+    certificates = _certificates(params, float(y[3]), targets)
+    stop = None
+    if certificates:
+        def stop(t, y):
+            return max(inside(y) for _, _, inside in certificates)
+
+        stop.terminal, stop.direction = True, 1
+        if stop(0.0, y) >= 0.0:
+            return _settled(*_entered(certificates, y), 0.0, 0)
+    fun, jac = _full_model(params)
+    t0 = steps = 0
+    for t_run, rule in ((cfg.t_end, "classifier at t_end"),
+                        (2.0 * cfg.t_end, "classifier at 3*t_end")):
+        t, y, _, stats = _radau(fun, jac, y, t_run, cfg, "settle", stop=stop)
+        if stats.status < 0:
+            raise IntegrationError(f"classification run failed: {stats.message}")
+        steps += stats.steps
+        if stats.status == 1:
+            return _settled(*_entered(certificates, y), t0 + t[-1], steps)
+        t0 += t_run
         label = classify_attractor(y, targets)
-    if label is None:
-        raise RuntimeError(f"trajectory did not settle within 3x t_end; final {y}")
+        if label is not None:
+            return _settled(label, rule, t0, steps)
+    raise RuntimeError(f"trajectory did not settle within 3x t_end; final {y}")
+
+
+def _settled(label: str, rule: str, t: float, steps: int) -> str:
+    """Log one settle decision at DEBUG and return its label."""
+    if _LOGGER.isEnabledFor(logging.DEBUG):
+        _LOGGER.debug("settle: %s by %s at t = %.6g d after %d solver steps",
+                      label, rule, t, steps)
     return label
 
 
@@ -517,7 +737,12 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     Returns the high side of a <= 1 cell bracket: re-simulating at the
     returned value reaches the high-tumor attractor; one cell below
     falls to the tumor-free side (the basin boundary is monotone in
-    T(0) at fixed immune initial conditions).  Raises ValueError before
+    T(0) at fixed immune initial conditions).  Each run is labelled by
+    `settle_attractor`, so it stops where it enters a certified region
+    (about 29 days near the boundary with the default parameters, on
+    either side) instead of running 600 days; the regions are proven to
+    lead to the attractor they name, so the labels and the threshold are
+    those of the classifier alone.  Raises ValueError before
     any run for a negative or non-finite N0, L0 or C0 and for a bracket
     that is not 0 < low < high < inf.
     """

@@ -157,6 +157,15 @@ def test_csp_bad_checkpoint_fails_before_the_run(bad, tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_csp_checkpoint_past_the_horizon_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "csp"
+    assert run_cli("csp", "--scenario", "TP", "--checkpoints", "0.5,20", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: checkpoint 20.0 x t_exp = 324.378 days is past the run's end "
+                   "at t = 200 days"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

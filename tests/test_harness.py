@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import ticsp.harness
+import ticsp.integrator
 from ticsp import DEFAULT_PARAMETERS
 from ticsp.harness import (
     SCENARIOS,
@@ -140,19 +142,21 @@ def test_run_at_stable_equilibrium():
 
 def test_short_horizon_attractor_handling():
     # 25 days after the TP start the lymphocyte pool is still relaxing, so
-    # the final state matches no equilibrium.  Settling is the default; with
-    # settle=False the run succeeds and simply reports no attractor.
+    # the final state matches no equilibrium.  With settle=False the run
+    # succeeds and simply reports no attractor.  Settling is the default: the
+    # state is already in the certified escape region, so it is labelled HTE
+    # at once; a run that is neither classified nor certified within 3x its
+    # horizon (TP stopped after one day) still raises.
     cfg = IntegratorConfig(t_end=25.0)
     res = run_scenario("TP", config=cfg, settle=False)
     assert res.attractor is None
     assert res.stage is not None  # diagnostics unaffected by the short tail
-    with pytest.raises(RuntimeError, match="settle"):
-        run_scenario("TP", config=cfg)
+    assert run_scenario("TP", config=cfg).attractor == "HTE"
+    with pytest.raises(RuntimeError, match="trajectory did not settle"):
+        run_scenario("TP", config=IntegratorConfig(t_end=1.0))
 
 
 def test_partial_integration_raises(monkeypatch):
-    import ticsp.harness
-
     def partial(*args, **kwargs):
         traj = integrate(*args, **kwargs)
         n = len(traj) // 2  # as if the step size had collapsed mid-run
@@ -176,6 +180,29 @@ def test_bad_checkpoint_fails_before_the_run(bad, monkeypatch):
     with pytest.raises(ValueError, match=f"^checkpoints must be nonnegative and finite, got {bad!r}"):
         run_scenario("TP", checkpoints=(0.5, bad))
     assert not calls
+
+
+def test_late_checkpoint_fails_before_any_record(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a checkpoint was evaluated")
+
+    monkeypatch.setattr(ticsp.harness, "evaluate_dense", forbidden)
+    with pytest.raises(ValueError, match=r"^checkpoint 20\.0 x t_exp = 324\.378 days is "
+                                         r"past the run's end at t = 200 days$"):
+        run_scenario("TP", checkpoints=(0.5, 20.0))
+
+
+@pytest.mark.parametrize("name, runs_before", [("TP", 2), ("TR", 2), ("TP1", 2), ("TR1", 3)])
+def test_settle_reuses_the_certificates_on_the_final_state(name, runs_before, monkeypatch):
+    # Each case ends its 200 days inside a certified region, so no settle
+    # run follows the scenario's own; the attractor is the classifier's.
+    calls = count_calls(monkeypatch, "integrator._radau")
+    res = run_scenario(name, checkpoints=())
+    assert calls["integrator._radau"] == 1
+    calls.clear()
+    monkeypatch.setattr(ticsp.integrator, "_certificates", lambda *args: [])
+    assert run_scenario(name, checkpoints=()).attractor == res.attractor
+    assert calls["integrator._radau"] == runs_before
 
 
 def test_unmet_expect_raises():

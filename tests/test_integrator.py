@@ -1,4 +1,6 @@
 """Integration, dense evaluation, and basin bisection."""
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import Radau, solve_ivp
@@ -23,7 +25,7 @@ from ticsp.integrator import (
     settle_attractor,
     stable_equilibria,
 )
-from ticsp.kinetics import DomainError
+from ticsp.kinetics import DomainError, rhs_array
 from ticsp.reduction import simulate_reduced
 
 from helpers import count_calls
@@ -359,6 +361,202 @@ def test_classify_at_equilibrium(attractors):
 def test_settle_tp_and_tr(attractors):
     assert settle_attractor(TP0, P, targets=attractors) == "HTE"
     assert settle_attractor(TR0, P, targets=attractors) == "TFE"
+
+
+# ---------------------------------------------------------------------------
+# Settle certificates
+
+def _full_label(y0, params=P, config=None):
+    """Label from the classifier alone (200 d, then 400 d more), with the
+    region certificates switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_certificates", lambda *args: [])
+        return settle_attractor(y0, params, config)
+
+
+def _settle_starts():
+    """50 seeded starts: T0 log-uniform over [1e5, 1e6] and within four
+    cells of the basin boundary at the basin immune state, the four
+    reference cases, and TP and TR jittered as in the benchmark (T0 by one
+    factor, the immune populations by another)."""
+    rng = np.random.default_rng(20261018)
+    immune = [1e3, 1e1, 6e8]
+    starts = [[10.0 ** rng.uniform(5.0, 6.0), *immune] for _ in range(20)]
+    starts += [[319392.5 + rng.uniform(-4.0, 4.0), *immune] for _ in range(10)]
+    starts += [SCENARIOS[name].state.array() for name in ("TP", "TR", "TP1", "TR1")]
+    for name, spread in (("TP", 1.25), ("TR", 1.05)):
+        y0 = SCENARIOS[name].state.array()
+        for _ in range(8):
+            f_tumor, f_immune = spread ** rng.uniform(-1.0, 1.0, size=2)
+            starts.append(y0 * [f_tumor, f_immune, f_immune, f_immune])
+    return [np.array(y) for y in starts]
+
+
+#: No certificate holds: jW/(k + W) can outgrow the CD8+ turnover (j > m),
+#: and u N_b K T_c = 13.6/day exceeds D(K) - a - m = 1.52/day.
+NO_CERTIFICATE = P.replace(u=3e-8, j=0.21)
+
+
+def test_extinction_region_faces_point_inward():
+    # The derivation in `_extinction_region`, checked on the vector field:
+    # on each face of E = {T <= T_c, L >= K T, N <= N_b} (C <= C_b) the
+    # flow crosses inward.
+    rng = np.random.default_rng(7)
+    K, T_c = integrator._EXTINCTION_K, integrator._EXTINCTION_T
+    C_b = P.alpha / P.beta
+    N_b = P.e * C_b / (P.f - P.g)
+    samples = [(T_c, N_b, K * T_c, C_b)]    # the corner the margin is taken at
+    for _ in range(300):
+        T = T_c * 10.0 ** rng.uniform(-6.0, 0.0)
+        samples.append((T, N_b * 10.0 ** rng.uniform(-3.0, 0.0),
+                        K * T * 10.0 ** rng.uniform(0.0, 6.0), C_b * 10.0 ** rng.uniform(-3.0, 0.0)))
+    for T, N, L, C in samples:
+        assert rhs_array(np.array([T_c, N, max(L, K * T_c), C]), P)[0] < 0.0
+        assert rhs_array(np.array([T, N_b, L, C]), P)[1] < 0.0
+        dT, _, dL, _ = rhs_array(np.array([T, N, K * T, C]), P)
+        assert dL - K * dT > 0.0
+
+
+def test_escape_region_faces_point_inward(attractors):
+    # The same for H = {T >= T_h, L <= K_h T, N <= N_h}, with T up to 1/b.
+    inside = integrator._escape_region(P, 6e8, attractors)
+    T_h, C_b = integrator._ESCAPE_T, P.alpha / P.beta
+    N_h = P.e * C_b / (P.f - P.g + P.p * T_h)
+    K_h = integrator._ESCAPE_HEADROOM * (P.r1 * N_h + P.r2 * C_b) / (P.q * T_h + P.m - P.j)
+    assert 0.08 < K_h < 0.1
+    assert inside(np.array([2.0 * T_h, N_h, K_h * T_h, C_b])) == 0.0
+    rng = np.random.default_rng(8)
+    samples = [(T_h, N_h, K_h * T_h, C_b)]    # the corner the margins are taken at
+    for _ in range(300):
+        T = T_h * 10.0 ** rng.uniform(0.0, np.log10(1.0 / (P.b * T_h)))
+        samples.append((T, N_h * 10.0 ** rng.uniform(-3.0, 0.0),
+                        K_h * T * 10.0 ** rng.uniform(-8.0, 0.0), C_b * 10.0 ** rng.uniform(-3.0, 0.0)))
+    for T, N, L, C in samples:
+        assert rhs_array(np.array([T_h, N, min(L, K_h * T_h), C]), P)[0] > 0.0
+        assert rhs_array(np.array([T, N_h, L, C]), P)[1] < 0.0
+        dT, _, dL, _ = rhs_array(np.array([T, N, K_h * T, C]), P)
+        assert dL - K_h * dT < 0.0
+
+
+def test_certificates_hold_only_where_proven(attractors):
+    assert [c[:2] for c in integrator._certificates(P, 6e8, attractors)] == [
+        ("TFE", "extinction certificate"), ("HTE", "escape certificate")]
+    # each region is the conjunction of its three bounds
+    extinction = integrator._extinction_region(P, 6e8)
+    assert extinction(np.array([500.0, 1e3, 500.0, 6e8])) == 0.0
+    for y in ([2e3, 1e3, 1e4, 6e8], [500.0, 1e3, 499.0, 6e8], [500.0, 5e5, 1e4, 6e8]):
+        assert extinction(np.array(y)) < 0.0
+    escape = integrator._escape_region(P, 6e8, attractors)
+    assert escape(np.array([1e8, 10.0, 1e6, 6e8])) > 0.0
+    for y in ([3e7, 10.0, 1e6, 6e8], [1e8, 10.0, 1e7, 6e8], [1e8, 100.0, 1e6, 6e8]):
+        assert escape(np.array(y)) < 0.0
+    assert integrator._extinction_region(P.replace(u=3e-8), 6e8) is None
+    assert integrator._extinction_region(P.replace(g=P.f), 6e8) is None
+    assert integrator._extinction_region(P, np.nan) is None
+    assert integrator._escape_region(P.replace(j=0.21), 6e8, attractors) is None
+    # the HTE certificate names an HTE among the targets, or none
+    tfe_only = [eq for eq in attractors if eq.kind == "TFE"]
+    assert integrator._escape_region(P, 6e8, tfe_only) is None
+    assert integrator._certificates(NO_CERTIFICATE, 6e8, stable_equilibria(NO_CERTIFICATE)) == []
+
+
+def test_settle_stops_in_a_certified_region(attractors, monkeypatch, caplog):
+    calls = count_calls(monkeypatch, "integrator._radau")
+    with caplog.at_level(logging.DEBUG, logger="ticsp"):
+        assert settle_attractor([319392.0, 1e3, 1e1, 6e8], P, targets=attractors) == "TFE"
+        assert settle_attractor([319393.0, 1e3, 1e1, 6e8], P, targets=attractors) == "HTE"
+    assert calls["integrator._radau"] == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "settle: TFE by extinction certificate at t = 28.8263 d after 437 solver steps",
+        "settle: HTE by escape certificate at t = 29.9081 d after 261 solver steps"]
+
+
+def test_settle_without_the_tfe_target_runs_the_classifier(attractors, monkeypatch):
+    # A certificate only names an equilibrium among the targets.
+    hte = [eq for eq in attractors if eq.kind == "HTE"]
+    calls = count_calls(monkeypatch, "integrator._radau")
+    with pytest.raises(RuntimeError, match="did not settle"):
+        settle_attractor([319392.0, 1e3, 1e1, 6e8], P, targets=hte)
+    assert calls["integrator._radau"] == 2
+
+
+def test_settle_logs_each_rule(caplog):
+    cfg = IntegratorConfig()
+    with caplog.at_level(logging.DEBUG, logger="ticsp"):
+        settle_attractor(TP0, NO_CERTIFICATE)
+        settle_attractor(integrate(TP0, NO_CERTIFICATE).final, NO_CERTIFICATE, cfg)
+        settle_attractor(TR0, P)
+        settle_attractor(TP0, P)
+        settle_attractor([1e-3, 1e3, 1e1, 6e8], P)
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m.split(" at t = ")[0] for m in messages] == [
+        "settle: HTE by classifier at 3*t_end", "settle: HTE by classifier at t_end",
+        "settle: TFE by extinction certificate", "settle: HTE by escape certificate",
+        "settle: TFE by extinction certificate"]
+    assert messages[0].endswith("at t = 600 d after 474 solver steps")
+    assert messages[1].endswith("at t = 200 d after 34 solver steps")
+    assert messages[-1] == "settle: TFE by extinction certificate at t = 0 d after 0 solver steps"
+
+
+def test_settle_log_costs_nothing_when_off(monkeypatch):
+    logger = logging.getLogger("ticsp")
+    monkeypatch.setattr(logger, "level", logging.WARNING)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a settle decision was formatted with DEBUG off")
+
+    monkeypatch.setattr(logger, "debug", forbidden)
+    assert settle_attractor(TR0, P) == "TFE"
+
+
+def test_settle_falls_back_to_the_classifier(monkeypatch):
+    # No certificate holds: the two classifier runs of 200 d and 400 d run
+    # as before and give the labels of the classifier alone.
+    cfg = IntegratorConfig()
+    targets = stable_equilibria(NO_CERTIFICATE)
+    for T0, expected in ((1e5, "TFE"), (1e6, "HTE")):
+        y0 = np.array([T0, 1e3, 1e1, 6e8])
+        runs = []
+        original = integrator._radau
+
+        def recorded(fun, jac, y, t_end, config, where, grid=None, stop=None):
+            runs.append((t_end, stop))
+            return original(fun, jac, y, t_end, config, where, grid, stop)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(integrator, "_radau", recorded)
+            assert settle_attractor(y0, NO_CERTIFICATE, cfg, targets) == expected
+        assert runs == [(200.0, None), (400.0, None)]
+        assert _full_label(y0, NO_CERTIFICATE) == expected
+    for params in (NO_CERTIFICATE, P):
+        with pytest.raises(RuntimeError, match="trajectory did not settle"):
+            settle_attractor([1e6, 1e3, 1e1, 6e8], params, IntegratorConfig(t_end=1.0))
+
+
+@pytest.mark.slow
+def test_early_labels_equal_the_full_classification(attractors):
+    starts = _settle_starts()
+    assert len(starts) >= 50
+    for y0 in starts:
+        assert settle_attractor(y0, P, targets=attractors) == _full_label(y0), y0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("change", [dict(a=0.5), dict(d=1.5), dict(u=3e-8), dict(r2=1.3e-10)])
+def test_early_labels_equal_the_full_classification_off_default(change):
+    # Parameter sets where both certificates, or only one, hold.
+    params = P.replace(**change)
+    for T0 in (1e5, 1e6):
+        y0 = np.array([T0, 1e3, 1e1, 6e8])
+        assert settle_attractor(y0, params) == _full_label(y0, params), (change, T0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rtol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_boundary_pair_labels_converge(rtol, attractors):
+    cfg = IntegratorConfig(rtol=rtol)
+    assert settle_attractor(SCENARIOS["TP1"].state, P, cfg, attractors) == "HTE"
+    assert settle_attractor(SCENARIOS["TR1"].state, P, cfg, attractors) == "TFE"
 
 
 # ---------------------------------------------------------------------------
