@@ -20,7 +20,9 @@ the oracle.  The full model's right-hand side is one kinetics call,
 Also provides the basin-of-attraction bisection on the initial tumor
 burden: runs are classified by which stable equilibrium they settle to,
 and a run stops as soon as it enters a region proven to lead to one of
-them (`_extinction_region`, `_escape_region`).
+them (`_extinction_region`, `_escape_region`).  A scout bisection at a
+loose tolerance finds the final cell, and two runs at the caller's
+tolerance confirm it.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import itertools
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -686,8 +688,8 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
     at all.  Otherwise it is classified at t_end and, if undecided (C
     relaxes on the 1/beta ~ 80 day scale), after one extension of
     2x t_end; still undecided, it raises RuntimeError.  The deciding rule,
-    the time since y0 and the solver steps are logged to the "ticsp"
-    logger at DEBUG.
+    the time since y0, the solver steps and the run's rtol are logged to
+    the "ticsp" logger at DEBUG.
     """
     cfg = config or IntegratorConfig()
     if targets is None:
@@ -703,7 +705,7 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
 
         stop.terminal, stop.direction = True, 1
         if stop(0.0, y) >= 0.0:
-            return _settled(*_entered(certificates, y), 0.0, 0)
+            return _settled(*_entered(certificates, y), 0.0, 0, cfg.rtol)
     fun, jac = _full_model(params)
     t0 = steps = 0
     for t_run, rule in ((cfg.t_end, "classifier at t_end"),
@@ -713,20 +715,24 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
             raise IntegrationError(f"classification run failed: {stats.message}")
         steps += stats.steps
         if stats.status == 1:
-            return _settled(*_entered(certificates, y), t0 + t[-1], steps)
+            return _settled(*_entered(certificates, y), t0 + t[-1], steps, cfg.rtol)
         t0 += t_run
         label = classify_attractor(y, targets)
         if label is not None:
-            return _settled(label, rule, t0, steps)
+            return _settled(label, rule, t0, steps, cfg.rtol)
     raise RuntimeError(f"trajectory did not settle within 3x t_end; final {y}")
 
 
-def _settled(label: str, rule: str, t: float, steps: int) -> str:
+def _settled(label: str, rule: str, t: float, steps: int, rtol: float) -> str:
     """Log one settle decision at DEBUG and return its label."""
     if _LOGGER.isEnabledFor(logging.DEBUG):
-        _LOGGER.debug("settle: %s by %s at t = %.6g d after %d solver steps",
-                      label, rule, t, steps)
+        _LOGGER.debug("settle: %s by %s at t = %.6g d after %d solver steps, rtol %g",
+                      label, rule, t, steps, rtol)
     return label
+
+
+#: Relative tolerance of the scout bisection that finds the final cell.
+_SCOUT_RTOL = 1e-5
 
 
 def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
@@ -736,15 +742,35 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
 
     Returns the high side of a <= 1 cell bracket: re-simulating at the
     returned value reaches the high-tumor attractor; one cell below
-    falls to the tumor-free side (the basin boundary is monotone in
-    T(0) at fixed immune initial conditions).  Each run is labelled by
+    falls to the tumor-free side.  Each run is labelled by
     `settle_attractor`, so it stops where it enters a certified region
     (about 29 days near the boundary with the default parameters, on
     either side) instead of running 600 days; the regions are proven to
-    lead to the attractor they name, so the labels and the threshold are
-    those of the classifier alone.  Raises ValueError before
-    any run for a negative or non-finite N0, L0 or C0 and for a bracket
-    that is not 0 < low < high < inf.
+    lead to the attractor they name, so the labels are those of the
+    classifier alone.
+
+    The search assumes the basin boundary is monotone in T(0) at fixed
+    immune initial conditions: every T(0) below it takes one label, every
+    T(0) above it the other.  A scout bisection at rtol `_SCOUT_RTOL`
+    (same atol, targets and certificates) finds the final cell
+    (lo_f, hi_f); only lo_f and hi_f are then run at the caller's
+    tolerance.  If those two runs carry the scout's two (different)
+    endpoint labels, monotonicity gives every midpoint of the plain
+    bisection at the caller's tolerance the scout's label, so that
+    bisection takes the scout's path and ends in the same cell: hi_f is
+    its result, bit for bit.  Otherwise (the scout endpoints agree, a
+    scout run raises, the labels are not confirmed, or the caller's rtol
+    is already at least `_SCOUT_RTOL`) the plain bisection runs at the
+    caller's tolerance, reusing the two runs already made.  Scout labels
+    only choose which runs to make; they never enter the result.  The
+    cell, the run counts and the way it was decided are logged to the
+    "ticsp" logger at DEBUG.
+
+    Raises ValueError before any run for a negative or non-finite N0, L0
+    or C0, for a bracket that is not 0 < low < high < inf and for
+    parameters with fewer than two kinds of stable equilibrium (no
+    bracket separates two basins); and, after the endpoint runs, for a
+    bracket whose endpoints settle to the same attractor.
     """
     for name, value in (("N0", N0), ("L0", L0), ("C0", C0)):
         if not 0.0 <= value < np.inf:
@@ -754,11 +780,46 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
         raise ValueError(f"T_bracket must satisfy 0 < low < high < inf, got {T_bracket}")
     cfg = config or IntegratorConfig()
     targets = stable_equilibria(params)
+    kinds = sorted({eq.kind for eq in targets})
+    if len(kinds) < 2:
+        found = f"the {kinds[0]}" if kinds else "none"
+        raise ValueError(f"no bracket separates two basins: the only stable "
+                         f"equilibrium of these parameters is {found}")
+    scout_cfg = replace(cfg, rtol=_SCOUT_RTOL)
+    scouted = 0
+    full = {}   # label of each run at the caller's tolerance, by T0
+
+    def scout(T0: float) -> str:
+        nonlocal scouted
+        scouted += 1
+        return settle_attractor(np.array([T0, N0, L0, C0]), params, scout_cfg, targets)
 
     def run(T0: float) -> str:
-        return settle_attractor(np.array([T0, N0, L0, C0]), params, cfg, targets)
+        if T0 not in full:
+            full[T0] = settle_attractor(np.array([T0, N0, L0, C0]), params, cfg, targets)
+        return full[T0]
 
-    lab_lo, lab_hi = run(lo), run(hi)
+    confirmed = False
+    if cfg.rtol < _SCOUT_RTOL:
+        try:
+            lo_f, hi_f, lab_lo, lab_hi = _bisect(scout, lo, hi)
+        except (RuntimeError, ValueError):
+            pass
+        else:
+            confirmed = run(lo_f) == lab_lo and run(hi_f) == lab_hi
+    if not confirmed:
+        lo_f, hi_f, _, _ = _bisect(run, lo, hi)
+    if _LOGGER.isEnabledFor(logging.DEBUG):
+        _LOGGER.debug("threshold: cell (%r, %r] %s after %d scout runs and %d full runs",
+                      lo_f, hi_f, "confirmed" if confirmed else "by plain bisection",
+                      scouted, len(full))
+    return hi_f
+
+
+def _bisect(label: Callable[[float], str], lo: float, hi: float):
+    """Bisect (lo, hi) down to <= 1 cell on `label`; returns the final
+    cell and the endpoint labels, (lo_f, hi_f, label(lo), label(hi))."""
+    lab_lo, lab_hi = label(lo), label(hi)
     if lab_lo == lab_hi:
         raise ValueError(
             f"bracket endpoints classify to the same attractor ({lab_lo}); "
@@ -766,8 +827,8 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
         )
     while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
-        if run(mid) == lab_lo:
+        if label(mid) == lab_lo:
             lo = mid
         else:
             hi = mid
-    return hi
+    return lo, hi, lab_lo, lab_hi

@@ -251,6 +251,22 @@ def test_threshold_rejects_impossible_immune_state(argv, name, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("d, kind", [(0.1, "HTE"), (3000.0, "TFE")])
+def test_threshold_refuses_parameters_with_one_stable_equilibrium(d, kind, tmp_path,
+                                                                  capsys, monkeypatch):
+    # No bracket separates two basins, so no run is made.
+    calls = count_calls(monkeypatch, "integrator.settle_attractor")
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({**P.to_dict(), "d": d}))
+    out = tmp_path / "thr"
+    assert run_cli("threshold", "--params", path, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: no bracket separates two basins: the only stable "
+                   f"equilibrium of these parameters is the {kind}"], err
+    assert not calls
+    assert not out.exists()
+
+
 def test_threshold_rejects_infinite_bracket(tmp_path, capsys, monkeypatch):
     calls = count_calls(monkeypatch, "integrator.settle_attractor")
     out = tmp_path / "thr"

@@ -467,8 +467,8 @@ def test_settle_stops_in_a_certified_region(attractors, monkeypatch, caplog):
         assert settle_attractor([319393.0, 1e3, 1e1, 6e8], P, targets=attractors) == "HTE"
     assert calls["integrator._radau"] == 2
     assert [r.getMessage() for r in caplog.records] == [
-        "settle: TFE by extinction certificate at t = 28.8263 d after 437 solver steps",
-        "settle: HTE by escape certificate at t = 29.9081 d after 261 solver steps"]
+        "settle: TFE by extinction certificate at t = 28.8263 d after 437 solver steps, rtol 1e-08",
+        "settle: HTE by escape certificate at t = 29.9081 d after 261 solver steps, rtol 1e-08"]
 
 
 def test_settle_without_the_tfe_target_runs_the_classifier(attractors, monkeypatch):
@@ -493,9 +493,10 @@ def test_settle_logs_each_rule(caplog):
         "settle: HTE by classifier at 3*t_end", "settle: HTE by classifier at t_end",
         "settle: TFE by extinction certificate", "settle: HTE by escape certificate",
         "settle: TFE by extinction certificate"]
-    assert messages[0].endswith("at t = 600 d after 474 solver steps")
-    assert messages[1].endswith("at t = 200 d after 34 solver steps")
-    assert messages[-1] == "settle: TFE by extinction certificate at t = 0 d after 0 solver steps"
+    assert messages[0].endswith("at t = 600 d after 474 solver steps, rtol 1e-08")
+    assert messages[1].endswith("at t = 200 d after 34 solver steps, rtol 1e-08")
+    assert messages[-1] == ("settle: TFE by extinction certificate at t = 0 d after 0 solver "
+                            "steps, rtol 1e-08")
 
 
 def test_settle_log_costs_nothing_when_off(monkeypatch):
@@ -568,9 +569,149 @@ def test_basin_threshold_patient9():
     assert 319392.0 <= thr <= 319393.0
 
 
+IMMUNE = (1e3, 1e1, 6e8)
+CLI_BRACKET = (319000.0, 320000.0)
+WIDE = (1e4, 1e7)
+
+
+def _seeded_brackets(n=20, seed=20261018):
+    """Brackets drawn as the benchmark draws them: width in (2**12, 2**13]
+    cells, with the boundary at 1-99% of the way up."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        width = rng.uniform(2.0**12 + 1.0, 2.0**13)
+        x = rng.uniform(0.01, 0.99)
+        out.append((319392.5 - x * width, 319392.5 + (1.0 - x) * width))
+    return out
+
+
+#: Thresholds of the plain bisection at rtol 1e-8 (one settle run per
+#: endpoint and midpoint, no scout), as float.hex: the seeded brackets in
+#: order, then the named cases.
+_SEEDED_THRESHOLDS = [
+    "0x1.37e836b9187f0p+18", "0x1.37e8375bd38b4p+18", "0x1.37e84da5dc534p+18",
+    "0x1.37e85afa01c8ep+18", "0x1.37e841296f044p+18", "0x1.37e83a5270ca9p+18",
+    "0x1.37e837d35c13ap+18", "0x1.37e832db03998p+18", "0x1.37e835e5ef2b5p+18",
+    "0x1.37e829bd9c86ep+18", "0x1.37e842f38d3ccp+18", "0x1.37e840bf91428p+18",
+    "0x1.37e82df20621fp+18", "0x1.37e852baa6237p+18", "0x1.37e849e7f37fcp+18",
+    "0x1.37e858b1a084ep+18", "0x1.37e839f84bd7ap+18", "0x1.37e83d28eca8dp+18",
+    "0x1.37e855c1521f6p+18", "0x1.37e83fd7b2dcdp+18",
+]
+THRESHOLD_CASES = [
+    pytest.param(IMMUNE, P, bracket, expected, id=f"seeded-{i}")
+    for i, (bracket, expected) in enumerate(zip(_seeded_brackets(), _SEEDED_THRESHOLDS))
+] + [
+    pytest.param(IMMUNE, P, CLI_BRACKET, "0x1.37e8638000000p+18", id="cli"),
+    pytest.param(IMMUNE, P, (1e5, 1e6), "0x1.37e82b9780000p+18", id="criterion-04"),
+    pytest.param(IMMUNE, P, (3.1e5, 3.3e5), "0x1.37e82cd000000p+18", id="demo-02"),
+    pytest.param((2e3, 1e1, 6e8), P, WIDE, "0x1.37e30d78e0000p+18", id="N0x2"),
+    pytest.param((1e3, 1e2, 6e8), P, WIDE, "0x1.37fdb2f3b4000p+18", id="L0x10"),
+    pytest.param((1e3, 1e1, 3e8), P, WIDE, "0x1.08f9b611a8000p+18", id="C0x0.5"),
+    pytest.param(IMMUNE, P.replace(d=P.d * 1.1), WIDE, "0x1.4faeced638000p+18", id="dx1.1"),
+    pytest.param(IMMUNE, P.replace(j=P.j * 0.9), WIDE, "0x1.37694873e8000p+18", id="jx0.9"),
+    pytest.param((5e2, 5.0, 1e9), P, WIDE, "0x1.7e5f6ec704000p+18", id="immune-5e2-5-1e9"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("immune, params, bracket, expected", THRESHOLD_CASES)
+def test_basin_threshold_is_the_plain_bisection_bit_for_bit(immune, params, bracket,
+                                                             expected):
+    assert basin_threshold(*immune, params, bracket).hex() == expected
+
+
+def _settle_runs(monkeypatch, fail_scout_run=None):
+    """Record the rtol of every settle run `basin_threshold` makes; the
+    scout run numbered `fail_scout_run` (from 1) raises instead."""
+    rtols = []
+    original = integrator.settle_attractor
+
+    def recorded(y0, params, config, targets):
+        rtols.append(config.rtol)
+        if (config.rtol == integrator._SCOUT_RTOL
+                and rtols.count(config.rtol) == fail_scout_run):
+            raise IntegrationError("scout run failed")
+        return original(y0, params, config, targets)
+
+    monkeypatch.setattr(integrator, "settle_attractor", recorded)
+    return rtols
+
+
+def _threshold_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("threshold")]
+
+
+def test_basin_threshold_confirms_the_scout_cell_with_two_full_runs(monkeypatch):
+    rtols = _settle_runs(monkeypatch)
+    assert basin_threshold(*IMMUNE, P, CLI_BRACKET).hex() == "0x1.37e8638000000p+18"
+    assert rtols == [integrator._SCOUT_RTOL] * 12 + [1e-8] * 2
+
+
+def test_basin_threshold_logs_its_cell_and_runs(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ticsp"):
+        basin_threshold(*IMMUNE, P, CLI_BRACKET)
+    assert _threshold_lines(caplog) == [
+        "threshold: cell (319392.578125, 319393.5546875] confirmed after 12 scout runs "
+        "and 2 full runs"]
+    settles = [r.getMessage() for r in caplog.records if r.getMessage().startswith("settle")]
+    assert [m.rsplit(", ", 1)[1] for m in settles] == ["rtol 1e-05"] * 12 + ["rtol 1e-08"] * 2
+
+
+def test_threshold_log_costs_nothing_when_off(monkeypatch):
+    logger = logging.getLogger("ticsp")
+    monkeypatch.setattr(logger, "level", logging.WARNING)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a threshold or settle line was formatted with DEBUG off")
+
+    monkeypatch.setattr(logger, "debug", forbidden)
+    assert basin_threshold(*IMMUNE, P, CLI_BRACKET).hex() == "0x1.37e8638000000p+18"
+
+
+@pytest.mark.slow
+def test_basin_threshold_falls_back_when_a_scout_run_raises(monkeypatch, caplog):
+    rtols = _settle_runs(monkeypatch, fail_scout_run=4)
+    with caplog.at_level(logging.DEBUG, logger="ticsp"):
+        assert basin_threshold(*IMMUNE, P, CLI_BRACKET).hex() == "0x1.37e8638000000p+18"
+    assert rtols == [integrator._SCOUT_RTOL] * 4 + [1e-8] * 12
+    assert _threshold_lines(caplog) == [
+        "threshold: cell (319392.578125, 319393.5546875] by plain bisection after 4 scout "
+        "runs and 12 full runs"]
+
+
+@pytest.mark.slow
+def test_basin_threshold_falls_back_from_a_loose_scout(monkeypatch, caplog):
+    # At rtol 1e-3 the scout's cell is off by about a cell; the two full
+    # runs do not confirm it, and the plain bisection gives the threshold.
+    monkeypatch.setattr(integrator, "_SCOUT_RTOL", 1e-3)
+    with caplog.at_level(logging.DEBUG, logger="ticsp"):
+        assert basin_threshold(*IMMUNE, P, (3.1e5, 3.3e5)).hex() == "0x1.37e82cd000000p+18"
+    assert _threshold_lines(caplog) == [
+        "threshold: cell (319392.08984375, 319392.7001953125] by plain bisection after 17 "
+        "scout runs and 17 full runs"]
+
+
+def test_basin_threshold_needs_no_scout_at_a_loose_caller_tolerance(monkeypatch):
+    rtols = _settle_runs(monkeypatch)
+    cfg = IntegratorConfig(rtol=integrator._SCOUT_RTOL)
+    assert 319392.0 <= basin_threshold(*IMMUNE, P, CLI_BRACKET, cfg) <= 319394.0
+    assert rtols == [cfg.rtol] * 12
+
+
 def test_basin_threshold_rejects_same_side():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bracket endpoints classify to the same "
+                                         r"attractor \(TFE\); widen the bracket$"):
         basin_threshold(1e3, 1e1, 6e8, P, (1e3, 1e4))  # both collapse
+
+
+@pytest.mark.parametrize("d, kind", [(0.1, "HTE"), (3000.0, "TFE")])
+def test_basin_threshold_needs_two_stable_equilibria_before_any_run(d, kind, monkeypatch):
+    calls = count_calls(monkeypatch, "integrator.settle_attractor")
+    with pytest.raises(ValueError, match="^no bracket separates two basins: the only stable "
+                                         f"equilibrium of these parameters is the {kind}$"):
+        basin_threshold(*IMMUNE, P.replace(d=d), (1e5, 1e6))
+    assert not calls
 
 
 def test_basin_threshold_rejects_bad_bracket():

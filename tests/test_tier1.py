@@ -1,8 +1,10 @@
-"""The tier-1 command CI runs is the one ROADMAP.md documents."""
+"""The tier-1 command CI runs is the one ROADMAP.md documents, and CI runs
+the basin_bisection benchmark once and checks its result line."""
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = "python3 perfbench/run.py --workload basin_bisection --seed 1 --seconds 1 --trace 0"
 
 
 def test_ci_runs_the_documented_tier1_command():
@@ -13,3 +15,16 @@ def test_ci_runs_the_documented_tier1_command():
                             (ROOT / "ROADMAP.md").read_text(), re.M)
     assert len(ci) == 1 and len(documented) == 1
     assert ci == documented
+
+
+def test_ci_runs_the_basin_bisection_benchmark_and_checks_it():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    steps = re.split(r"^      - ", workflow, flags=re.M)
+    bench = [step for step in steps if BENCH in step]
+    assert len(bench) == 1
+    step = bench[0]
+    # pipefail (shell: bash) so that a failing benchmark fails the step
+    assert re.search(r"^        shell: bash$", step, re.M)
+    assert f"{BENCH} | tail -n 1 > basin_bisection.json" in step
+    assert 'r["correct"] is True and r["failed"] == 0' in step
+    assert "sys.exit(0 if " in step
