@@ -313,12 +313,16 @@ def bifurcation_scan(
     sorted-T* order), locates the transcritical point where the TFE
     stability margin (a-d) beta f - alpha c e changes sign, and reports
     the saddle-node as the last swept value carrying two feasible HTE.
+    Both ends of `value_range` must be finite, and positive with `log`.
     """
     if parameter not in PARAMETER_NAMES:
         raise KeyError(f"unknown parameter {parameter!r}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     lo, hi = value_range
+    if not (np.isfinite(lo) and np.isfinite(hi)) or log and not (lo > 0.0 and hi > 0.0):
+        need = "finite and positive for a log scan" if log else "finite"
+        raise ValueError(f"value_range ends must be {need}, got {value_range}")
     values = np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
 
     qs = [p.replace(**{parameter: float(v)}) for v in values]

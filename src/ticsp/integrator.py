@@ -8,14 +8,16 @@ the continuous (dense) solution is kept for diagnostics at arbitrary
 times, the stage boundaries among them.
 
 Every run, full or reduced, dense or endpoint-only, goes through one
-`solve_ivp` call site, `_radau`, with the solver class `_Radau`: a lean
-copy of scipy 1.17.1's Radau step, with LU factor and solve calling
-LAPACK directly.  On these 4x4 systems scipy's per-call wrappers cost
-more than the arithmetic, and they are what it drops; it keeps every
+Radau driver, `_radau`: a loop over the steps of the solver class
+`_Radau`, with `solve_ivp`'s dense-output, output-grid and terminal-event
+semantics and none of its per-step bookkeeping.  `_Radau` is a lean copy
+of scipy 1.17.1's Radau step, with LU factor and solve calling LAPACK
+directly.  On these 4x4 systems scipy's per-call wrappers cost more than
+the arithmetic, and they are what it drops; driver and step keep every
 floating-point operation and its order, so steps, counters and dense
-output stay bit-identical to the stock solver's, which the tests use as
-the oracle.  The full model's right-hand side is one kinetics call,
-`floored_rhs`.
+output stay bit-identical to the stock `solve_ivp(method=Radau)`, which
+the tests use as the oracle.  The full model's right-hand side is one
+kinetics call, `floored_rhs`.
 
 Also provides the basin-of-attraction bisection on the initial tumor
 burden: runs are classified by which stable equilibrium they settle to,
@@ -34,13 +36,16 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import Radau, solve_ivp
+from scipy.integrate import OdeSolution, Radau
+from scipy.integrate._ivp.common import EPS
+from scipy.integrate._ivp.ivp import MESSAGES
 from scipy.integrate._ivp.radau import (
     MAX_FACTOR, MIN_FACTOR, MU_COMPLEX, MU_REAL, NEWTON_MAXITER, TI_COMPLEX, TI_REAL,
     RadauDenseOutput,
 )
 from scipy.integrate._ivp.radau import C as _C, E as _E, P as _P, T as _T, TI as _TI
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
+from scipy.optimize import brentq
 
 from .equilibria import Equilibrium, find_hte, tfe
 from .kinetics import (
@@ -385,28 +390,58 @@ def _step_factor(h_abs, h_abs_old, error_norm, error_norm_old):
 
 def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
            where: str, grid: Optional[np.ndarray] = None, stop=None):
-    """The package's one Radau run, from t = 0 to t_end.
+    """The package's one Radau driver: a run from t = 0 to t_end.
 
     `fun` and `jac` take (t, y).  With an output `grid` the dense
     interpolant is kept and the states on the grid are returned; without
     one only the endpoint state is.  Returns (t, y, dense, stats) with y
-    clipped by `_clip_undershoot`.  A step-size collapse returns the
-    partial solution with status -1 in the stats.  `stop(t, y)`, for
-    endpoint-only runs, is a terminal event: the run ends where it turns
-    nonnegative, the returned state is there and the status is 1.
+    clipped by `_clip_undershoot`; t is the grid up to the run's end, or
+    the step points of an endpoint-only run.  A step-size collapse returns
+    the partial solution with status -1 and the solver's message in the
+    stats.  `stop(t, y)`, for endpoint-only runs, is a terminal event: the
+    run ends in the first step over which it goes from <= 0 to >= 0, at
+    the root of `stop` on that step's interpolant; the returned state is
+    there and the status is 1.
+
+    The loop is `solve_ivp`'s for scipy 1.17.1, keeping only what these
+    runs use: one dense output per step in an `OdeSolution`, the grid
+    values taken from it (each from the step that `solve_ivp` would take
+    it from), and the event root found by the same `brentq` call.  So
+    every value, counter and message is the one `solve_ivp(method=Radau)`
+    returns, without its per-step event and output-grid bookkeeping.
     """
-    sol = solve_ivp(fun, (0.0, t_end), y0, method=_Radau, jac=jac,
-                    rtol=cfg.rtol, atol=cfg.atol,
-                    dense_output=grid is not None, t_eval=grid, events=stop)
-    if sol.status not in (0, -1, 1):
-        raise IntegrationError(f"unexpected solver status {sol.status}: {sol.message}")
-    y = sol.y.T.copy() if grid is not None else sol.y[:, -1].copy()
-    stats = SolverStats(
-        steps=max(len(sol.sol.ts) if sol.sol is not None else len(sol.t), 1) - 1,
-        nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
-        status=sol.status, message=sol.message.strip(),
-    )
-    return sol.t, _clip_undershoot(y, cfg.atol, where), sol.sol, stats
+    solver = _Radau(fun, 0.0, y0, float(t_end), rtol=cfg.rtol, atol=cfg.atol, jac=jac)
+    ts, interpolants, y = [0.0], [], y0
+    g = None if stop is None else stop(0.0, y0)
+    status = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            status = -1
+            break
+        if solver.status == "finished":
+            status = 0
+        t, y = solver.t, solver.y
+        if grid is not None:
+            interpolants.append(solver.dense_output())
+        if stop is not None:
+            g_new = stop(t, y)
+            if g <= 0 <= g_new:
+                sol = solver.dense_output()
+                t = brentq(lambda s: stop(s, sol(s)), solver.t_old, t,
+                           xtol=4 * EPS, rtol=4 * EPS)
+                y = sol(t)
+                status = 1
+            g = g_new
+        ts.append(t)
+    stats = SolverStats(steps=len(ts) - 1, nfev=solver.nfev, njev=solver.njev,
+                        nlu=solver.nlu, status=status,
+                        message=MESSAGES.get(status, message).strip())
+    if grid is None:
+        return np.array(ts), _clip_undershoot(y, cfg.atol, where), None, stats
+    dense = OdeSolution(ts, interpolants)
+    t = grid[grid <= ts[-1]]
+    return t, _clip_undershoot(dense(t).T.copy(), cfg.atol, where), dense, stats
 
 
 def _full_model(params: ParameterSet):
@@ -487,11 +522,11 @@ def classify_attractor(y: np.ndarray, targets: list[Equilibrium],
 
 
 #: The extinction region's floor on L/T and ceiling on T (cells), the escape
-#: region's floor on T (cells, about twice the default saddle HTE's T*) and
+#: region's floor on T (cells, 1.3x the default saddle HTE's T* = 1.9e7) and
 #: the headroom of its ceiling on L/T over the least that keeps it invariant.
 _EXTINCTION_K = 1.0
-_EXTINCTION_T = 1e3
-_ESCAPE_T = 4e7
+_EXTINCTION_T = 5e3
+_ESCAPE_T = 2.5e7
 _ESCAPE_HEADROOM = 1.25
 _WIDEN = 1e-9   # relative widening of the escape region's limit box
 
@@ -533,7 +568,8 @@ def _extinction_region(p: ParameterSet, C0: float):
     priming, inactivation) are bounded by constants times T and decay
     exponentially, so N and C follow their linear limits and L falls at
     rate m/2 or faster once jW/(k + W) < m/2.  Every run that enters E
-    goes to the TFE.  With the default parameters the margin is 1.39/day.
+    goes to the TFE.  With the default parameters the margin is 0.84/day
+    (T_c up to about 1.1e4 keeps it positive).
     """
     if not p.f > p.g:
         return None
@@ -604,7 +640,7 @@ def _escape_region(p: ParameterSet, C0: float, targets: list[Equilibrium]):
        distance to a target is convex in the state and the TFE is far,
        so it names that equilibrium HTE too.
 
-    With the default parameters: mu_T = 0.25/day, K_h = 0.089, and B
+    With the default parameters: mu_T = 0.026/day, K_h = 0.142, and B
     spans 3e-4 of T* = 9.8e8 around the stable HTE.
     """
     C_s = p.alpha / p.beta
@@ -703,7 +739,6 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
         def stop(t, y):
             return max(inside(y) for _, _, inside in certificates)
 
-        stop.terminal, stop.direction = True, 1
         if stop(0.0, y) >= 0.0:
             return _settled(*_entered(certificates, y), 0.0, 0, cfg.rtol)
     fun, jac = _full_model(params)
@@ -732,7 +767,7 @@ def _settled(label: str, rule: str, t: float, steps: int, rtol: float) -> str:
 
 
 #: Relative tolerance of the scout bisection that finds the final cell.
-_SCOUT_RTOL = 1e-5
+_SCOUT_RTOL = 3e-5
 
 
 def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
@@ -753,18 +788,19 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     immune initial conditions: every T(0) below it takes one label, every
     T(0) above it the other.  A scout bisection at rtol `_SCOUT_RTOL`
     (same atol, targets and certificates) finds the final cell
-    (lo_f, hi_f); only lo_f and hi_f are then run at the caller's
-    tolerance.  If those two runs carry the scout's two (different)
-    endpoint labels, monotonicity gives every midpoint of the plain
-    bisection at the caller's tolerance the scout's label, so that
+    (lo_f, hi_f), taking the TFE below and the HTE above the bracket
+    without running its ends; only lo_f and hi_f are then run at the
+    caller's tolerance.  If they settle to the TFE and the HTE,
+    monotonicity gives both bracket ends and every midpoint of the plain
+    bisection at the caller's tolerance the label the scout took, so that
     bisection takes the scout's path and ends in the same cell: hi_f is
-    its result, bit for bit.  Otherwise (the scout endpoints agree, a
-    scout run raises, the labels are not confirmed, or the caller's rtol
-    is already at least `_SCOUT_RTOL`) the plain bisection runs at the
-    caller's tolerance, reusing the two runs already made.  Scout labels
-    only choose which runs to make; they never enter the result.  The
-    cell, the run counts and the way it was decided are logged to the
-    "ticsp" logger at DEBUG.
+    its result, bit for bit.  Otherwise (a scout run raises, the labels
+    are not confirmed, or the caller's rtol is already at least
+    `_SCOUT_RTOL`) the plain bisection runs at the caller's tolerance,
+    ends included, reusing the two runs already made.  Scout labels only
+    choose which runs to make; they never enter the result.  The cell,
+    the run counts and the way it was decided are logged to the "ticsp"
+    logger at DEBUG.
 
     Raises ValueError before any run for a negative or non-finite N0, L0
     or C0, for a bracket that is not 0 < low < high < inf and for
@@ -802,13 +838,13 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     confirmed = False
     if cfg.rtol < _SCOUT_RTOL:
         try:
-            lo_f, hi_f, lab_lo, lab_hi = _bisect(scout, lo, hi)
+            lo_f, hi_f = _bisect(scout, lo, hi, ends=("TFE", "HTE"))
         except (RuntimeError, ValueError):
             pass
         else:
-            confirmed = run(lo_f) == lab_lo and run(hi_f) == lab_hi
+            confirmed = run(lo_f) == "TFE" and run(hi_f) == "HTE"
     if not confirmed:
-        lo_f, hi_f, _, _ = _bisect(run, lo, hi)
+        lo_f, hi_f = _bisect(run, lo, hi)
     if _LOGGER.isEnabledFor(logging.DEBUG):
         _LOGGER.debug("threshold: cell (%r, %r] %s after %d scout runs and %d full runs",
                       lo_f, hi_f, "confirmed" if confirmed else "by plain bisection",
@@ -816,19 +852,23 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     return hi_f
 
 
-def _bisect(label: Callable[[float], str], lo: float, hi: float):
+def _bisect(label: Callable[[float], str], lo: float, hi: float,
+            ends: Optional[tuple[str, str]] = None) -> tuple[float, float]:
     """Bisect (lo, hi) down to <= 1 cell on `label`; returns the final
-    cell and the endpoint labels, (lo_f, hi_f, label(lo), label(hi))."""
-    lab_lo, lab_hi = label(lo), label(hi)
-    if lab_lo == lab_hi:
-        raise ValueError(
-            f"bracket endpoints classify to the same attractor ({lab_lo}); "
-            "widen the bracket"
-        )
+    cell (lo_f, hi_f).  `ends`, the labels of lo and hi, are taken as
+    given; without them both ends are run, and raise ValueError if they
+    take the same label."""
+    if ends is None:
+        ends = label(lo), label(hi)
+        if ends[0] == ends[1]:
+            raise ValueError(
+                f"bracket endpoints classify to the same attractor ({ends[0]}); "
+                "widen the bracket"
+            )
     while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
-        if label(mid) == lab_lo:
+        if label(mid) == ends[0]:
             lo = mid
         else:
             hi = mid
-    return lo, hi, lab_lo, lab_hi
+    return lo, hi

@@ -119,6 +119,22 @@ def test_bifurcate_locates_transcritical(tmp_path):
     assert kinds == {"TFE", "HTE"}
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["--from", 1, "--to", "inf"], "finite, got (1.0, inf)"),
+    (["--from", "nan", "--to", 1], "finite, got (nan, 1.0)"),
+    (["--from", 0, "--to", 1, "--log"], "finite and positive for a log scan, got (0.0, 1.0)"),
+])
+def test_bifurcate_rejects_a_bad_range(argv, message, tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "equilibria.find_hte")
+    out = tmp_path / "bif"
+    assert run_cli("bifurcate", "--param", "d", *argv, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: value_range ends must be {message}"], err
+    assert not calls
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # csp
 

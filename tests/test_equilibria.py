@@ -27,6 +27,8 @@ from ticsp.equilibria import (
 )
 from ticsp.kinetics import jacobian_array, rhs_array
 
+from helpers import count_calls
+
 P = DEFAULT_PARAMETERS
 
 
@@ -187,6 +189,22 @@ def test_bifurcation_scan_rejects_bad_input():
         bifurcation_scan(P, "zz", (0.1, 1.0), 10)
     with pytest.raises(ValueError):
         bifurcation_scan(P, "d", (0.1, 1.0), 1)
+
+
+@pytest.mark.parametrize("value_range, log, need", [
+    ((1.0, np.inf), False, "finite"),
+    ((np.nan, 1.0), False, "finite"),
+    ((0.1, -np.inf), True, "finite and positive for a log scan"),
+    ((0.0, 1.0), True, "finite and positive for a log scan"),
+    ((-1.0, 1.0), True, "finite and positive for a log scan"),
+])
+def test_bifurcation_scan_rejects_a_bad_range_before_any_equilibrium(value_range, log, need,
+                                                                    monkeypatch):
+    calls = count_calls(monkeypatch, "equilibria.find_hte")
+    with pytest.raises(ValueError, match=rf"^value_range ends must be {need}, got "
+                                         rf"{re.escape(str(value_range))}$"):
+        bifurcation_scan(P, "d", value_range, 10, log=log)
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Integration, dense evaluation, and basin bisection."""
+import functools
 import logging
 
 import numpy as np
@@ -247,6 +248,74 @@ def test_radau_subclass_matches_stock_on_toy_systems(name):
     assert fast.sol(t).tobytes() == stock.sol(t).tobytes()
 
 
+def _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, grid=None, stop=None, **options):
+    """The same run through `_radau` (its undershoot clip switched off) and
+    through stock `solve_ivp(method=Radau)`; `options` go to both solvers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_clip_undershoot", lambda y, atol, where: y)
+        if options:
+            mp.setattr(integrator, "_Radau", functools.partial(_Radau, **options))
+        ours = _radau(fun, jac, np.array(y0, dtype=float), t_end, cfg, "test", grid, stop)
+    ref = solve_ivp(fun, (0.0, t_end), np.array(y0, dtype=float), method=Radau, jac=jac,
+                    rtol=cfg.rtol, atol=cfg.atol, dense_output=grid is not None,
+                    t_eval=grid, events=stop, **options)
+    return ours, ref
+
+
+def _assert_same_run(ours, ref, steps):
+    t, y, dense, stats = ours
+    assert (stats.steps, stats.nfev, stats.njev, stats.nlu, stats.status, stats.message) == \
+        (steps, ref.nfev, ref.njev, ref.nlu, ref.status, ref.message)
+    assert t.tobytes() == ref.t.tobytes()
+    if dense is None:
+        assert y.tobytes() == ref.y[:, -1].tobytes()
+        return
+    assert y.tobytes() == ref.y.T.copy().tobytes()
+    assert dense.ts.tobytes() == ref.sol.ts.tobytes()
+    times = np.linspace(0.0, dense.ts[-1], 1001)
+    assert dense(times).tobytes() == ref.sol(times).tobytes()
+
+
+@pytest.mark.parametrize("name", ["TP", "TR", "TP1", "TR1"])
+def test_radau_driver_matches_solve_ivp_on_the_reference_cases(name):
+    cfg = IntegratorConfig()
+    ours, ref = _driver_and_solve_ivp(*_full_model(P), SCENARIOS[name].state.array(),
+                                      cfg.t_end, cfg, cfg.grid())
+    assert ours[3].status == 0
+    _assert_same_run(ours, ref, len(ref.sol.ts) - 1)
+
+
+@pytest.mark.parametrize("name", sorted(TOY_SYSTEMS))
+def test_radau_driver_matches_solve_ivp_on_toy_systems(name):
+    fun, jac, (_, t_end), y0, options = TOY_SYSTEMS[name]
+    options = dict(options)
+    cfg = IntegratorConfig(rtol=options.pop("rtol", 1e-3), t_end=t_end)
+    grid = np.linspace(0.0, t_end, 101)
+    ours, ref = _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, grid, **options)
+    _assert_same_run(ours, ref, len(ref.sol.ts) - 1)
+    if name == "blow-up":
+        # the partial grid up to the step-size collapse, and the solver's message
+        assert ours[3].status == -1 and 0 < len(ours[0]) < len(grid)
+        assert ours[3].message == "Required step size is less than spacing between numbers."
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 3e-5])
+@pytest.mark.parametrize("T0", [319392.0, 319393.0])
+def test_radau_driver_matches_solve_ivp_on_terminal_settle_runs(T0, rtol, attractors):
+    certificates = integrator._certificates(P, 6e8, attractors)
+
+    def stop(t, y):
+        return max(inside(y) for _, _, inside in certificates)
+
+    stop.terminal, stop.direction = True, 1
+    cfg = IntegratorConfig(rtol=rtol)
+    ours, ref = _driver_and_solve_ivp(*_full_model(P), [T0, 1e3, 1e1, 6e8], cfg.t_end, cfg,
+                                      stop=stop)
+    assert ours[3].status == 1 and ours[2] is None
+    assert ours[0][-1] == ref.t_events[0][0] < cfg.t_end
+    _assert_same_run(ours, ref, len(ref.t) - 1)
+
+
 def test_radau_subclass_step_is_live(monkeypatch):
     # scipy's step helpers are never reached, and scipy still calls
     # `_step_impl`: a release that renames it must fail here, not silently
@@ -417,13 +486,19 @@ def test_extinction_region_faces_point_inward():
         assert dL - K * dT > 0.0
 
 
-def test_escape_region_faces_point_inward(attractors):
-    # The same for H = {T >= T_h, L <= K_h T, N <= N_h}, with T up to 1/b.
-    inside = integrator._escape_region(P, 6e8, attractors)
+def _escape_bounds():
+    """(T_h, N_h, K_h, C_b) of the escape region H for P from C0 <= alpha/beta."""
     T_h, C_b = integrator._ESCAPE_T, P.alpha / P.beta
     N_h = P.e * C_b / (P.f - P.g + P.p * T_h)
     K_h = integrator._ESCAPE_HEADROOM * (P.r1 * N_h + P.r2 * C_b) / (P.q * T_h + P.m - P.j)
-    assert 0.08 < K_h < 0.1
+    return T_h, N_h, K_h, C_b
+
+
+def test_escape_region_faces_point_inward(attractors):
+    # The same for H = {T >= T_h, L <= K_h T, N <= N_h}, with T up to 1/b.
+    inside = integrator._escape_region(P, 6e8, attractors)
+    T_h, N_h, K_h, C_b = _escape_bounds()
+    assert 0.13 < K_h < 0.15
     assert inside(np.array([2.0 * T_h, N_h, K_h * T_h, C_b])) == 0.0
     rng = np.random.default_rng(8)
     samples = [(T_h, N_h, K_h * T_h, C_b)]    # the corner the margins are taken at
@@ -442,13 +517,18 @@ def test_certificates_hold_only_where_proven(attractors):
     assert [c[:2] for c in integrator._certificates(P, 6e8, attractors)] == [
         ("TFE", "extinction certificate"), ("HTE", "escape certificate")]
     # each region is the conjunction of its three bounds
+    T_c = integrator._EXTINCTION_T
     extinction = integrator._extinction_region(P, 6e8)
-    assert extinction(np.array([500.0, 1e3, 500.0, 6e8])) == 0.0
-    for y in ([2e3, 1e3, 1e4, 6e8], [500.0, 1e3, 499.0, 6e8], [500.0, 5e5, 1e4, 6e8]):
+    assert extinction(np.array([T_c / 2, 1e3, T_c / 2, 6e8])) == 0.0
+    for y in ([2 * T_c, 1e3, 10 * T_c, 6e8], [T_c / 2, 1e3, T_c / 2 - 1, 6e8],
+              [T_c / 2, 5e5, 10 * T_c, 6e8]):
         assert extinction(np.array(y)) < 0.0
+    T_h, N_h, K_h, _ = _escape_bounds()
     escape = integrator._escape_region(P, 6e8, attractors)
-    assert escape(np.array([1e8, 10.0, 1e6, 6e8])) > 0.0
-    for y in ([3e7, 10.0, 1e6, 6e8], [1e8, 10.0, 1e7, 6e8], [1e8, 100.0, 1e6, 6e8]):
+    assert escape(np.array([4 * T_h, N_h / 10, K_h * T_h, 6e8])) > 0.0
+    for y in ([0.75 * T_h, N_h / 10, K_h * T_h / 10, 6e8],
+              [4 * T_h, N_h / 10, 1.1 * K_h * 4 * T_h, 6e8],
+              [4 * T_h, 1.1 * N_h, K_h * T_h, 6e8]):
         assert escape(np.array(y)) < 0.0
     assert integrator._extinction_region(P.replace(u=3e-8), 6e8) is None
     assert integrator._extinction_region(P.replace(g=P.f), 6e8) is None
@@ -467,8 +547,8 @@ def test_settle_stops_in_a_certified_region(attractors, monkeypatch, caplog):
         assert settle_attractor([319393.0, 1e3, 1e1, 6e8], P, targets=attractors) == "HTE"
     assert calls["integrator._radau"] == 2
     assert [r.getMessage() for r in caplog.records] == [
-        "settle: TFE by extinction certificate at t = 28.8263 d after 437 solver steps, rtol 1e-08",
-        "settle: HTE by escape certificate at t = 29.9081 d after 261 solver steps, rtol 1e-08"]
+        "settle: TFE by extinction certificate at t = 27.9832 d after 396 solver steps, rtol 1e-08",
+        "settle: HTE by escape certificate at t = 28.7375 d after 249 solver steps, rtol 1e-08"]
 
 
 def test_settle_without_the_tfe_target_runs_the_classifier(attractors, monkeypatch):
@@ -645,17 +725,17 @@ def _threshold_lines(caplog):
 def test_basin_threshold_confirms_the_scout_cell_with_two_full_runs(monkeypatch):
     rtols = _settle_runs(monkeypatch)
     assert basin_threshold(*IMMUNE, P, CLI_BRACKET).hex() == "0x1.37e8638000000p+18"
-    assert rtols == [integrator._SCOUT_RTOL] * 12 + [1e-8] * 2
+    assert rtols == [integrator._SCOUT_RTOL] * 10 + [1e-8] * 2
 
 
 def test_basin_threshold_logs_its_cell_and_runs(caplog):
     with caplog.at_level(logging.DEBUG, logger="ticsp"):
         basin_threshold(*IMMUNE, P, CLI_BRACKET)
     assert _threshold_lines(caplog) == [
-        "threshold: cell (319392.578125, 319393.5546875] confirmed after 12 scout runs "
+        "threshold: cell (319392.578125, 319393.5546875] confirmed after 10 scout runs "
         "and 2 full runs"]
     settles = [r.getMessage() for r in caplog.records if r.getMessage().startswith("settle")]
-    assert [m.rsplit(", ", 1)[1] for m in settles] == ["rtol 1e-05"] * 12 + ["rtol 1e-08"] * 2
+    assert [m.rsplit(", ", 1)[1] for m in settles] == ["rtol 3e-05"] * 10 + ["rtol 1e-08"] * 2
 
 
 def test_threshold_log_costs_nothing_when_off(monkeypatch):
@@ -688,8 +768,41 @@ def test_basin_threshold_falls_back_from_a_loose_scout(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="ticsp"):
         assert basin_threshold(*IMMUNE, P, (3.1e5, 3.3e5)).hex() == "0x1.37e82cd000000p+18"
     assert _threshold_lines(caplog) == [
-        "threshold: cell (319392.08984375, 319392.7001953125] by plain bisection after 17 "
+        "threshold: cell (319392.08984375, 319392.7001953125] by plain bisection after 15 "
         "scout runs and 17 full runs"]
+
+
+def test_basin_threshold_within_one_cell_makes_two_full_runs_and_no_scout(monkeypatch):
+    rtols = _settle_runs(monkeypatch)
+    assert basin_threshold(*IMMUNE, P, (319392.2, 319393.0)) == 319393.0
+    assert rtols == [1e-8] * 2
+
+
+def test_basin_threshold_one_sided_bracket_still_raises(monkeypatch, caplog):
+    # The scout takes the TFE below and the HTE above and finds a cell at the
+    # top; the full run there settles to the TFE, so the plain bisection runs
+    # both ends and raises.
+    rtols = _settle_runs(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="ticsp"), \
+            pytest.raises(ValueError, match=r"^bracket endpoints classify to the same "
+                                            r"attractor \(TFE\); widen the bracket$"):
+        basin_threshold(*IMMUNE, P, (1e5, 2e5))
+    assert rtols[-2:] == [1e-8] * 2 and rtols.count(1e-8) == 3
+    assert not _threshold_lines(caplog)
+
+
+@pytest.mark.slow
+def test_basin_threshold_needs_its_confirmation(monkeypatch):
+    # A 1e-3 scout ends in a cell the plain bisection at 1e-8 does not reach:
+    # returning it unconfirmed would change the threshold.
+    monkeypatch.setattr(integrator, "_SCOUT_RTOL", 1e-3)
+    scout_cfg = IntegratorConfig(rtol=1e-3)
+    targets = stable_equilibria(P)
+    _, hi_f = integrator._bisect(
+        lambda T0: settle_attractor(np.array([T0, *IMMUNE]), P, scout_cfg, targets),
+        3.1e5, 3.3e5, ends=("TFE", "HTE"))
+    assert hi_f.hex() != "0x1.37e82cd000000p+18"
+    assert basin_threshold(*IMMUNE, P, (3.1e5, 3.3e5)).hex() == "0x1.37e82cd000000p+18"
 
 
 def test_basin_threshold_needs_no_scout_at_a_loose_caller_tolerance(monkeypatch):

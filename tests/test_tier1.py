@@ -1,7 +1,9 @@
 """The tier-1 command CI runs is the one ROADMAP.md documents, and CI runs
-the basin_bisection benchmark once and checks its result line."""
+each benchmark workload once and checks its result line."""
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = "python3 perfbench/run.py --workload basin_bisection --seed 1 --seconds 1 --trace 0"
@@ -17,14 +19,27 @@ def test_ci_runs_the_documented_tier1_command():
     assert ci == documented
 
 
-def test_ci_runs_the_basin_bisection_benchmark_and_checks_it():
+def _assert_ci_smoke_runs(workload):
+    """CI runs the workload once and fails unless its result line is correct
+    with no failed operation."""
+    bench = BENCH.replace("basin_bisection", workload)
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     steps = re.split(r"^      - ", workflow, flags=re.M)
-    bench = [step for step in steps if BENCH in step]
-    assert len(bench) == 1
-    step = bench[0]
+    found = [step for step in steps if bench in step]
+    assert len(found) == 1, workload
+    step = found[0]
     # pipefail (shell: bash) so that a failing benchmark fails the step
     assert re.search(r"^        shell: bash$", step, re.M)
-    assert f"{BENCH} | tail -n 1 > basin_bisection.json" in step
+    assert f"{bench} | tail -n 1 > {workload}.json" in step
+    assert f'json.load(open("{workload}.json"))' in step
     assert 'r["correct"] is True and r["failed"] == 0' in step
     assert "sys.exit(0 if " in step
+
+
+def test_ci_runs_the_basin_bisection_benchmark_and_checks_it():
+    _assert_ci_smoke_runs("basin_bisection")
+
+
+@pytest.mark.parametrize("workload", ["case_report", "bifurcation_sweep"])
+def test_ci_smoke_runs_the_other_workloads_and_checks_them(workload):
+    _assert_ci_smoke_runs(workload)
