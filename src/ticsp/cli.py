@@ -52,14 +52,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _by_variable(values) -> Optional[dict]:
-    """{T, N, L, C} -> value; None stays None (no window to summarize)."""
+    """{T, N, L, C} -> value; None stays None (no window to summarize), and a
+    non-finite value is written as null."""
     if values is None:
         return None
-    return {var: float(values[i]) for i, var in enumerate(VARIABLES)}
+    return {var: float(v) if np.isfinite(v) else None for var, v in zip(VARIABLES, values)}
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,7 @@ import numpy as np
 
 from .integrator import Trajectory, dense_states, evaluate_dense
 from .kinetics import (
-    STOICHIOMETRY,
-    State,
-    floor_state,
-    jacobian_array,
-    jacobian_batch,
-    process_rates,
-    rhs_array,
+    STOICHIOMETRY, ProcessSet, State, floor_state, jacobian_batch, process_rates,
 )
 from .params import ParameterSet
 
@@ -53,6 +47,8 @@ __all__ = [
 _COND_LIMIT = 1e12
 _REFINE_TOL = 1e-4   # days: bisection tolerance of the stage boundaries
 _SUBDIVIDE = 4       # the stage scan refines the output grid this many times
+_EXHAUST_RTOL = 1e-3  # exhausted-mode tolerance: rtol*|y_i| + atol per variable
+_EXHAUST_ATOL = 1.0   # cells
 
 
 class DecompositionError(RuntimeError):
@@ -193,10 +189,14 @@ def decompose(state: State, params: ParameterSet) -> ModeDecomposition:
     sign of each mode (alpha_n, beta^n, f^n jointly) is fixed so the
     mode's largest-magnitude amplitude-participation entry is positive.
     """
-    y = state.array()
-    lam, alpha, partner = (a[0] for a in _real_modes(jacobian_array(y, params)[None]))
+    return _decompose(state, process_rates(state, params))
+
+
+def _decompose(state: State, ps: ProcessSet) -> ModeDecomposition:
+    """`decompose` from the state's rates and gradients: J = S G, f = S R."""
+    lam, alpha, partner = (a[0] for a in _real_modes((STOICHIOMETRY @ ps.gradients)[None]))
     beta = np.linalg.inv(alpha)
-    amplitudes = beta @ rhs_array(y, params)
+    amplitudes = beta @ (STOICHIOMETRY @ ps.rates)
 
     dec = ModeDecomposition(
         state=state,
@@ -208,7 +208,7 @@ def decompose(state: State, params: ParameterSet) -> ModeDecomposition:
         explosive=lam.real > 0.0,
         complex_pair=tuple(None if j < 0 else int(j) for j in partner),
     )
-    terms = (beta @ STOICHIOMETRY) * process_rates(state, params).rates[None, :]
+    terms = (beta @ STOICHIOMETRY) * ps.rates[None, :]
     for n in range(4):
         k_dom = int(np.argmax(np.abs(terms[n])))
         if terms[n, k_dom] < 0.0:
@@ -282,29 +282,27 @@ def importance(decomp: ModeDecomposition, M: int, processes) -> np.ndarray:
     return _normalize_rows(num)
 
 
-def exhausted_count(decomp: ModeDecomposition, state: State,
-                    rtol: float = 1e-3, atol: float = 1.0,
-                    fixed: Optional[int] = None) -> int:
+def exhausted_count(decomp: ModeDecomposition, fixed: Optional[int] = None) -> int:
     """Number of fast dissipative modes already damped to local tolerance.
 
     Largest M such that modes 1..M are dissipative and each of their
-    contributions to every variable, integrated over the next-slowest
-    timescale, stays under rtol*|y_i| + atol.  A complex pair is never
-    split across the fast/slow boundary.  `fixed` overrides the count.
+    contributions to every variable of `decomp.state`, integrated over
+    the next-slowest timescale, stays under rtol*|y_i| + atol
+    (`_EXHAUST_RTOL`, `_EXHAUST_ATOL`).  A complex pair is never split
+    across the fast/slow boundary.  `fixed` overrides the count.
     """
     if fixed is not None:
         if not 0 <= fixed < 4:
             raise ValueError(f"fixed M must be in [0, 4), got {fixed}")
         return int(fixed)
-    y_abs = np.abs(state.array())
+    bound = _EXHAUST_RTOL * np.abs(decomp.state.array()) + _EXHAUST_ATOL
     contrib = np.abs(decomp.alpha * decomp.amplitudes[None, :])  # [i, r]
     for M in (3, 2, 1):
         if np.any(decomp.explosive[:M]):
             continue
         if decomp.complex_pair[M - 1] == M:
             continue  # boundary would split a conjugate pair
-        tau_next = decomp.timescales[M]
-        if np.all(contrib[:, :M] * tau_next < (rtol * y_abs + atol)[:, None]):
+        if np.all(contrib[:, :M] * decomp.timescales[M] < bound[:, None]):
             return M
     return 0
 
@@ -384,9 +382,9 @@ def diagnostics_record(state: State, params: ParameterSet,
                        fixed_M: Optional[int] = None) -> DiagnosticsRecord:
     """All four index tables at one state, with M from the exhausted-mode
     count unless overridden."""
-    dec = decompose(state, params)
     ps = process_rates(state, params)
-    M = exhausted_count(dec, state, fixed=fixed_M)
+    dec = _decompose(state, ps)
+    M = exhausted_count(dec, fixed=fixed_M)
     return DiagnosticsRecord(
         time=state.t,
         t_over_texp=float(t_over_texp),

@@ -40,6 +40,7 @@ __all__ = [
 
 _SENTINEL = 1e300
 _T_GRID = np.geomspace(1.0, 1e10, 400)  # the HTE root scan's T* grid
+_EPS_STAB = 1e-12  # classify_stability: margin below 0 of every stable real part
 
 
 @dataclass(frozen=True)
@@ -225,18 +226,18 @@ def hte_state(Tstar: float, p: ParameterSet) -> np.ndarray:
     return np.array([Tstar, N, _positive_quadratic_root(a2, b2, c2), p.alpha / p.beta])
 
 
-def classify_stability(eq: Equilibrium, p: ParameterSet, eps_stab: float = 1e-12) -> Equilibrium:
+def classify_stability(eq: Equilibrium, p: ParameterSet) -> Equilibrium:
     """Fill eigenvalues and the stability flag of an equilibrium record.
 
     Numeric eigensolver on the analytic Jacobian, except at the TFE
     where the closed-form eigenvalues are used (T = 0 is not evaluable).
-    Stability requires every real part below -eps_stab.
+    Stability requires every real part below -`_EPS_STAB`.
     """
     if eq.kind == "TFE":
         eigs = tfe_eigenvalues(p).astype(complex) if eq.feasible else eq.eigenvalues
     else:
         eigs = np.linalg.eigvals(jacobian_array(eq.y, p))
-    stable = bool(np.all(eigs.real < -eps_stab))
+    stable = bool(np.all(eigs.real < -_EPS_STAB))
     return dataclasses.replace(eq, eigenvalues=eigs, stable=stable)
 
 

@@ -44,6 +44,8 @@ PERSISTENCE_FRACTIONS = tuple(np.arange(0.125, 0.95, 0.025))
 _II_THRESHOLD = 0.02     # ii_persistence: |II| above this counts as significant
 _II_MIN_FRACTION = 0.5   # ii_persistence: share of the samples that must count
 _RANKED_CUTOFF = 0.95    # ranked_entries: cumulative |value| kept per table row
+_WINDOW_SAMPLES = 151    # run_perturbation: states sampled per comparison window
+_NEGLIGIBLE_BAND = 0.05  # run_perturbation: |ratio - 1| up to this is "negligible"
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +300,15 @@ class PerturbationReport:
         return (self.t_exp_perturbed - self.t_exp_base) / self.t_exp_base
 
 
-def _window_samples(traj: Trajectory, lo: float, hi: float, n: int = 151) -> np.ndarray:
-    ts = np.linspace(lo, hi, n)
+def _window_samples(traj: Trajectory, lo: float, hi: float) -> np.ndarray:
+    ts = np.linspace(lo, hi, _WINDOW_SAMPLES)
     return np.array([evaluate_dense(traj, t).array() for t in ts])
 
 
-def _direction(ratio: float, band: float = 0.05) -> str:
-    if ratio > 1.0 + band:
+def _direction(ratio: float) -> str:
+    if ratio > 1.0 + _NEGLIGIBLE_BAND:
         return "increase"
-    if ratio < 1.0 - band:
+    if ratio < 1.0 - _NEGLIGIBLE_BAND:
         return "decrease"
     return "negligible"
 

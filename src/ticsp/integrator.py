@@ -114,13 +114,11 @@ class SolverStats:
 class Trajectory:
     """Solution on the output grid plus the continuous dense interpolant.
 
-    For reduced models `y` always holds the full reconstructed 4-vector
-    per grid time while `dense` interpolates the model's own (smaller)
-    state; `expand` maps a dense vector to the full 4-vector.
+    For reduced models `y` holds the full reconstructed 4-vector per grid
+    time while `dense` interpolates the model's own (smaller) state;
+    `expand` maps a stack of such states (n, k) to full states (n, 4).
     """
 
-    model: str                  # "full" | "reduced-leading"
-    params: ParameterSet
     t: np.ndarray               # (n,)
     y: np.ndarray               # (n, 4)
     dense: object               # scipy OdeSolution
@@ -136,9 +134,6 @@ class Trajectory:
     @property
     def span(self) -> tuple[float, float]:
         return float(self.t[0]), float(self.t[-1])
-
-    def state(self, i: int) -> State:
-        return State.from_array(self.t[i], self.y[i])
 
     @property
     def final(self) -> np.ndarray:
@@ -466,10 +461,8 @@ def integrate(y0: State, params: ParameterSet, config: IntegratorConfig | None =
     fun, jac = _full_model(params)
     t, y, dense, stats = _radau(fun, jac, y0.array(), cfg.t_end, cfg,
                                 "integrate", cfg.grid())
-    return Trajectory(
-        model="full", params=params, t=t, y=y,
-        dense=dense, stats=stats, complete=(stats.status == 0), atol=cfg.atol,
-    )
+    return Trajectory(t=t, y=y, dense=dense, stats=stats,
+                      complete=(stats.status == 0), atol=cfg.atol)
 
 
 def evaluate_dense(traj: Trajectory, t: float) -> State:
@@ -485,7 +478,7 @@ def dense_states(traj: Trajectory, times) -> np.ndarray:
         raise ValueError(f"times outside trajectory span [{lo}, {hi}]")
     Z = np.asarray(traj.dense(times), dtype=float).T
     if traj.expand is not None:
-        Z = np.array([traj.expand(z) for z in Z])
+        Z = traj.expand(Z)
     return _clip_undershoot(Z, traj.atol, "evaluate_dense")
 
 

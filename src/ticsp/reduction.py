@@ -10,7 +10,10 @@ effector-cell recruitment balancing inactivation:
 This module tracks how well full-model trajectories respect those
 constraints (relative errors RE_N, RE_L), and builds the reduced
 model: the leading-order system of two ODEs for (T, C) plus the two
-algebraic equations above (10 effective parameters).
+algebraic equations above (10 effective parameters).  The reduced run
+keeps the full run's conventions: the one Radau driver, the full model's
+T -> 0+ floor on solver probes, and `dense_states` on its trajectory,
+which expands stacks of (T, C) states to (T, N_hat, L_hat, C).
 """
 from __future__ import annotations
 
@@ -21,7 +24,9 @@ import numpy as np
 
 from .csp import ExplosiveStage
 from .equilibria import Equilibrium
-from .integrator import IntegratorConfig, Trajectory, _radau, classify_attractor
+from .integrator import (
+    IntegratorConfig, Trajectory, _radau, classify_attractor, dense_states,
+)
 from .kinetics import T_FLOOR, DomainError, _saturation
 from .params import ParameterSet
 
@@ -138,13 +143,7 @@ def reduced_rhs_leading(T: float, C: float, p: ParameterSet) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 # Reduced-model simulation
 
-def _floor_tc(z: np.ndarray) -> list[float]:
-    """A solver probe (T, C) raised to at least `T_FLOOR` in both; NaN stays NaN."""
-    return np.maximum(z, T_FLOOR).tolist()
-
-
-def _reduced_jac_arr(z: np.ndarray, p: ParameterSet) -> np.ndarray:
-    T, C = _floor_tc(z)
+def _reduced_jac_arr(T: float, C: float, p: ParameterSet) -> np.ndarray:
     D, _, sigma = _reduced_saturation(T, C, p)
     qT_m = p.q * T + p.m
     # x = L_hat/T = r2*C/(q*T + m);  dD/dx = l*D*sigma/x
@@ -155,16 +154,30 @@ def _reduced_jac_arr(z: np.ndarray, p: ParameterSet) -> np.ndarray:
     return np.array([[j11, j12], [0.0, -p.beta]])
 
 
-def _expand_factory(p: ParameterSet):
+def _reduced_model(p: ParameterSet):
+    """The reduced model's (t, z) right-hand side and Jacobian for `_radau`.
+
+    A solver probe's T is floored as `kinetics.floored_rhs` floors it:
+    `T_FLOOR` when below, NaN stays NaN.  C is not floored, since
+    dC/dt = alpha - beta*C keeps C >= min(C0, alpha/beta) > 0; a probe
+    with C <= 0 is refused."""
+    def floored(z: np.ndarray) -> tuple[float, float]:
+        T, C = z.tolist()
+        return (T_FLOOR if T < T_FLOOR else T), C
+
+    return (lambda t, z: np.array(reduced_rhs_leading(*floored(z), p)),
+            lambda t, z: _reduced_jac_arr(*floored(z), p))
+
+
+def _expand(Z: np.ndarray, p: ParameterSet) -> np.ndarray:
+    """Reduced states (n, 2) -> full states (n, 4): (T, N_hat, L_hat, C), with
+    undershoot clipped to 0.  A T of 0 is read at `T_FLOOR`, where N_hat
+    overflows to inf."""
     ep, Q, Mr = p.e / p.p, p.q / p.r2, p.m / p.r2
-
-    def expand(z: np.ndarray) -> np.ndarray:
-        T = max(float(z[0]), 0.0)
-        C = max(float(z[1]), 0.0)
-        T_safe = T if T > 0.0 else T_FLOOR
-        return np.array([T, ep * C / T_safe, C * T / (Q * T + Mr), C])
-
-    return expand
+    T, C = np.maximum(Z, 0.0).T
+    with np.errstate(over="ignore"):
+        N = ep * C / np.where(T > 0.0, T, T_FLOOR)
+    return np.column_stack([T, N, C * T / (Q * T + Mr), C])
 
 
 def simulate_reduced(T0: float, C0: float, p: ParameterSet,
@@ -173,24 +186,20 @@ def simulate_reduced(T0: float, C0: float, p: ParameterSet,
 
     The returned trajectory carries full 4-vectors on the grid (immune
     populations from the constraints at every output time), a dense
-    interpolant over (T, C) with the expansion hook, and the
+    interpolant over (T, C) with the stacked expansion, and the
     10-constant effective parameter set in `effective`.
     """
     cfg = config or IntegratorConfig()
     if not (T0 > 0.0 and C0 > 0.0):
         raise DomainError(f"reduced model requires T0, C0 > 0, got ({T0!r}, {C0!r})")
 
-    t, z, dense, stats = _radau(
-        lambda t, z: np.array(reduced_rhs_leading(*_floor_tc(z), p)),
-        lambda t, z: _reduced_jac_arr(z, p),
-        np.array([float(T0), float(C0)]), cfg.t_end, cfg, "simulate_reduced", cfg.grid())
-    expand = _expand_factory(p)
-    y = np.array([expand(row) for row in z])
+    fun, jac = _reduced_model(p)
+    t, z, dense, stats = _radau(fun, jac, np.array([float(T0), float(C0)]),
+                                cfg.t_end, cfg, "simulate_reduced", cfg.grid())
+    expand = lambda Z: _expand(Z, p)
     return Trajectory(
-        model="reduced-leading", params=p, t=t, y=y,
-        dense=dense, stats=stats, complete=(stats.status == 0),
-        atol=cfg.atol, expand=expand,
-        effective=EffectiveParameters.from_full(p),
+        t=t, y=expand(z), dense=dense, stats=stats, complete=(stats.status == 0),
+        atol=cfg.atol, expand=expand, effective=EffectiveParameters.from_full(p),
     )
 
 
@@ -220,20 +229,13 @@ def compare_reduced(full: Trajectory, red: Trajectory,
                     targets: Sequence[Equilibrium]) -> ReducedComparison:
     """Per-variable relative errors of the reduced run, summarized over the
     window of `stage`, the full trajectory's explosive stage (None: no
-    window).  Both final states are labelled by the nearest of `targets`,
+    window), read at the full run's grid times inside the reduced run's
+    span.  Both final states are labelled by the nearest of `targets`,
     the stable equilibria, judged on the slow variables (T, C) only: the
     reconstructed immune populations diverge at the tumor-free state."""
-    lo = max(full.t[0], red.t[0])
-    hi = min(full.t[-1], red.t[-1])
-    sel = (full.t >= lo) & (full.t <= hi)
-    t = full.t[sel]
-    yf = full.y[sel]
-    if red.t.shape == full.t.shape and np.array_equal(red.t, full.t):
-        yr = red.y[sel]
-    else:
-        yr = np.array([red.expand(red.dense(tt)) if red.expand is not None
-                       else red.dense(tt) for tt in t])
-    rel = np.abs(yr - yf) / np.maximum(np.abs(yf), 1.0)
+    sel = (full.t >= red.t[0]) & (full.t <= red.t[-1])   # the common span
+    t, yf = full.t[sel], full.y[sel]
+    rel = np.abs(dense_states(red, t) - yf) / np.maximum(np.abs(yf), 1.0)
 
     window = max_err = mean_err = None
     if stage is not None:

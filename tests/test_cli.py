@@ -198,6 +198,31 @@ def test_reduce_outputs(tmp_path):
     assert summary["max_rel_err"]["C"] < 1e-9
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_reduce_writes_strict_json_when_the_reduced_tumor_dies_out(tmp_path):
+    # TP1's reduced tumor reaches 0 inside the stage window, where
+    # N_hat = eC/(pT) is infinite: that error is written as null
+    out = tmp_path / "red"
+    assert run_cli("reduce", "--scenario", "TP1", "--out", out) == 0
+    files = sorted(out.glob("*.json"))
+    assert [f.name for f in files] == ["config.json", "reduce_summary.json"]
+    for f in files:
+        json.loads(f.read_text(), parse_constant=_refuse_constant)
+    summary = json.loads((out / "reduce_summary.json").read_text())
+    for key in ("max_rel_err", "mean_rel_err"):
+        assert summary[key]["N"] is None
+        assert all(math.isfinite(summary[key][var]) for var in "TLC")
+
+
+def test_json_writer_refuses_non_finite_values(tmp_path):
+    from ticsp.cli import _write_json
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"x": float("nan")})
+
+
 def test_reduce_without_explosive_stage(tmp_path):
     scenario = tmp_path / "nostage.json"
     scenario.write_text(json.dumps({"name": "nostage", "T0": 1, "N0": 1e5, "L0": 1e6,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ticsp import DEFAULT_PARAMETERS, State
+from ticsp import csp
 from ticsp.csp import (
     DecompositionError,
     _bisect,
@@ -20,9 +21,9 @@ from ticsp.csp import (
 )
 from ticsp.equilibria import find_hte, tfe, tfe_eigenvalues
 from ticsp.integrator import IntegratorConfig, evaluate_dense, integrate
-from ticsp.kinetics import STOICHIOMETRY, process_rates, rhs_array
+from ticsp.kinetics import STOICHIOMETRY, jacobian_array, process_rates, rhs_array
 
-from helpers import random_states
+from helpers import count_calls, random_states
 
 P = DEFAULT_PARAMETERS
 TP0 = State(0.0, 1e6, 1e3, 1e1, 6e8)
@@ -187,28 +188,29 @@ def test_normalize_rows_zero_row_undefined():
 # Exhausted-mode count
 
 def test_exhausted_progression(tp_traj, tp_stage):
-    assert exhausted_count(decompose(TP0, P), TP0) < 2
+    assert exhausted_count(decompose(TP0, P)) < 2
     rec = tp_record(tp_traj, tp_stage, 0.5)
     assert rec.M == 2
     e1 = next(e for e in find_hte(P) if e.stable)
     s1 = State.from_array(0.0, e1.y)
-    assert exhausted_count(decompose(s1, P), s1) == 3
+    assert exhausted_count(decompose(s1, P)) == 3
 
 
 def test_exhausted_fixed_override():
     d = decompose(TP0, P)
-    assert exhausted_count(d, TP0, fixed=1) == 1
+    assert exhausted_count(d, fixed=1) == 1
     with pytest.raises(ValueError):
-        exhausted_count(d, TP0, fixed=4)
+        exhausted_count(d, fixed=4)
 
 
-def test_exhausted_never_splits_pair():
+def test_exhausted_never_splits_pair(monkeypatch):
     d = decompose(PAIR_MID, P)
     # with an infinite amplitude allowance, all three fast modes count
-    assert exhausted_count(d, PAIR_MID, atol=1e30) == 3
+    monkeypatch.setattr(csp, "_EXHAUST_ATOL", 1e30)
+    assert exhausted_count(d) == 3
     # force mode 3 explosive: M=3 impossible, M=2 would split the (1,2) pair
     forced = dataclasses.replace(d, explosive=np.array([False, False, True, False]))
-    assert exhausted_count(forced, PAIR_MID, atol=1e30) == 1
+    assert exhausted_count(forced) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +260,22 @@ def test_tp_mid_stage_tables(tp_traj, tp_stage):
     assert abs(rec.api[1, 13] + 0.5) < 0.02     # process 14
     assert abs(rec.tpi[1, 13] + 1.0) < 0.02
     assert abs(rec.pointer[1, 2] - 1.0) < 0.01  # variable L
+
+
+def test_diagnostics_record_evaluates_the_kinetics_once(tp_traj, tp_stage, monkeypatch):
+    calls = count_calls(monkeypatch, "kinetics.process_rates", "kinetics.jacobian_array",
+                        "kinetics.rhs_array")
+    tp_record(tp_traj, tp_stage, 0.5)
+    assert dict(calls) == {"kinetics.process_rates": 1}
+
+
+def test_decomposition_from_rates_is_the_kinetics_bit_for_bit():
+    # J = S G and f = S R from one `process_rates` call are the solver's
+    # `jacobian_array` and `rhs_array`, bit for bit
+    for s in random_states(20) + [TP0, TR0, PAIR_FAST, PAIR_MID]:
+        ps = process_rates(s, P)
+        assert np.array_equal(STOICHIOMETRY @ ps.gradients, jacobian_array(s.array(), P))
+        assert np.array_equal(STOICHIOMETRY @ ps.rates, rhs_array(s.array(), P))
 
 
 def test_tp_late_stage_explosive_mode(tp_traj, tp_stage):

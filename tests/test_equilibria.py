@@ -142,12 +142,13 @@ def test_find_hte_empty_past_saddle_node():
     assert find_hte(P.replace(d=1200.0)) == []
 
 
-def test_classify_stability_epsilon():
+def test_classify_stability_epsilon(monkeypatch):
     eq = find_hte(P)[1]
-    strict = classify_stability(eq, P, eps_stab=1e-12)
+    strict = classify_stability(eq, P)
     assert strict.stable
     # an absurdly large margin declares everything unstable
-    assert not classify_stability(eq, P, eps_stab=1e6).stable
+    monkeypatch.setattr(equilibria, "_EPS_STAB", 1e6)
+    assert not classify_stability(eq, P).stable
 
 
 def test_bifurcation_scan_d():

@@ -8,12 +8,18 @@ import pytest
 from ticsp import DEFAULT_PARAMETERS, State
 from ticsp.csp import decompose, explosive_stage
 from ticsp.equilibria import find_hte
-from ticsp.integrator import evaluate_dense, integrate, stable_equilibria
-from ticsp.kinetics import DomainError
+from ticsp.harness import get_scenario
+from ticsp import reduction
+from ticsp.integrator import (
+    IntegratorConfig, dense_states, evaluate_dense, integrate, stable_equilibria,
+)
+from ticsp.kinetics import T_FLOOR, DomainError, floor_state
 from ticsp.reduction import (
     EffectiveParameters,
     _constraint_arrays,
-    _floor_tc,
+    _expand,
+    _reduced_jac_arr,
+    _reduced_model,
     compare_reduced,
     constraint_errors,
     reduced_rhs_leading,
@@ -218,12 +224,86 @@ def test_on_constraint_displacement_within_error_scale(tp_traj, tp_errors):
         assert np.all(contrib[:, :2] * d.timescales[None, :2] < 5e-2 * y[:, None] + 1.0)
 
 
-def test_reduced_probe_floor():
-    # solver probes at or below zero are read at the T -> 0+ floor...
-    T, C = _floor_tc(np.array([-1.0, 0.0]))
-    assert T > 0.0 and C > 0.0
-    assert np.all(np.isfinite(reduced_rhs_leading(T, C, P)))
-    # ...values above it pass unchanged, and NaN reaches the model, which rejects it
-    assert _floor_tc(np.array([1e6, 6e8])) == [1e6, 6e8]
-    with pytest.raises(DomainError):
-        reduced_rhs_leading(*_floor_tc(np.array([np.nan, 6e8])), P)
+def test_reduced_probe_floor(monkeypatch):
+    # a solver probe's T is floored as the full model's (`floor_state`, the
+    # rule `floored_rhs` applies); C reaches the model unchanged
+    seen = []
+    monkeypatch.setattr(reduction, "reduced_rhs_leading",
+                        lambda T, C, p: seen.append((T, C)) or (0.0, 0.0))
+    fun, jac = _reduced_model(P)
+    for T in (-1.0, -0.0, 0.0, 1e-310, T_FLOOR, 1e6):
+        for C in (1e-310, 6e8):
+            seen.clear()
+            fun(0.0, np.array([T, C]))
+            floored = floor_state(np.array([T, 1.0, 1.0, C]))[0]
+            assert seen == [(floored, C)]
+            assert np.array_equal(jac(0.0, np.array([T, C])), _reduced_jac_arr(floored, C, P))
+    seen.clear()
+    fun(0.0, np.array([np.nan, 6e8]))
+    assert np.isnan(seen[0][0]) and seen[0][1] == 6e8
+    # the model itself refuses NaN in either variable and a C <= 0 probe
+    monkeypatch.undo()
+    fun, _ = _reduced_model(P)
+    for z in ([np.nan, 6e8], [1e6, np.nan], [1e6, 0.0], [-1.0, -1e-9]):
+        with pytest.raises(DomainError):
+            fun(0.0, np.array(z))
+
+
+def _expand_rows(Z, p):
+    """The expansion as it was written per row, before it took stacks: the
+    reference the stacked `_expand` is held to bit for bit."""
+    ep, Q, Mr = p.e / p.p, p.q / p.r2, p.m / p.r2
+    out = []
+    for z in Z:
+        T = max(float(z[0]), 0.0)
+        C = max(float(z[1]), 0.0)
+        T_safe = T if T > 0.0 else T_FLOOR
+        out.append(np.array([T, ep * C / T_safe, C * T / (Q * T + Mr), C]))
+    return np.array(out)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["TP", "TR", "TP1"])
+def test_stacked_expansion_is_the_per_row_arithmetic(name):
+    # TP1's reduced tumor reaches 0, where N_hat is infinite
+    scn = get_scenario(name)
+    red = simulate_reduced(scn.T0, scn.C0, P)
+    # the grid states as the solver returned them, clipped at 0
+    z = np.maximum(red.dense(red.t).T, 0.0)
+    assert _same_bits(red.y, _expand_rows(z, P))
+    # the dense path: the per-row expansion of the raw interpolant, then the clip
+    times = np.linspace(*red.span, 1001)
+    ref = np.maximum(_expand_rows(red.dense(times).T, P), 0.0)
+    assert _same_bits(dense_states(red, times), ref)
+
+
+def test_stacked_expansion_reads_a_zero_tumor_at_the_floor():
+    Z = np.array([[0.0, 4e10], [-1e-9, 4e10], [1e-300, 6e8], [5e-301, 6e8], [1e6, -1e-9]])
+    Y = _expand(Z, P)
+    assert _same_bits(Y, _expand_rows(Z, P))
+    assert np.isinf(Y[:2, 1]).all() and np.isfinite(Y[2:, 1]).all()
+    assert np.all(Y[:2, [0, 2]] == 0.0) and Y[4, 3] == 0.0
+
+
+def test_compare_reduced_on_another_grid(tp_traj, tp_reduced):
+    # a 100-day reduced run is read at the 200-day full run's grid times up
+    # to day 100; up to its last step it takes the 200-day run's steps
+    short = simulate_reduced(1e6, 6e8, P, IntegratorConfig(t_end=100.0))
+    assert not np.array_equal(short.t, tp_traj.t[tp_traj.t <= 100.0])
+    stage, targets = explosive_stage(tp_traj, P), stable_equilibria(P)
+    rep = compare_reduced(tp_traj, short, stage, targets)
+    same = compare_reduced(tp_traj, tp_reduced, stage, targets)
+    n = len(rep.t)
+    assert np.array_equal(rep.t, tp_traj.t[:n]) and rep.t[-1] <= 100.0 < tp_traj.t[n]
+    yf = tp_traj.y[:n]
+    assert _same_bits(rep.rel_err,
+                      np.abs(dense_states(short, rep.t) - yf) / np.maximum(np.abs(yf), 1.0))
+    shared = rep.t <= short.dense.ts[-2]
+    assert shared.sum() > 0.9 * n
+    assert _same_bits(rep.rel_err[shared], same.rel_err[:n][shared])
+    assert rep.window == same.window
+    assert _same_bits(rep.max_err, same.max_err) and _same_bits(rep.mean_err, same.mean_err)
+    assert rep.full_attractor == rep.reduced_attractor == "HTE"
