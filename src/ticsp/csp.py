@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import Trajectory, dense_states, evaluate_dense
+from .integrator import Trajectory, _bisect, dense_states, evaluate_dense
 from .kinetics import (
     STOICHIOMETRY, ProcessSet, State, floor_state, jacobian_batch, process_rates,
 )
@@ -312,36 +312,18 @@ def _growth_rates(Y, params: ParameterSet) -> np.ndarray:
     return np.linalg.eigvals(_boundary_jacobians(Y, params)).real.max(axis=1)
 
 
-def _bisect(event, a: float, b: float) -> Optional[float]:
-    """A root of `event` in [a, b] to `_REFINE_TOL` days by midpoint
-    bisection.  An endpoint where the event is 0 is returned; None when
-    both endpoints have the same sign."""
-    fa, fb = event(a), event(b)
-    if fa == 0.0:
-        return float(a)
-    if fb == 0.0:
-        return float(b)
-    if (fa > 0.0) == (fb > 0.0):
-        return None
-    while b - a > _REFINE_TOL:
-        mid = 0.5 * (a + b)
-        fm = event(mid)
-        if fm == 0.0:
-            return float(mid)
-        if (fm > 0.0) == (fa > 0.0):
-            a = mid
-        else:
-            b = mid
-    return float(0.5 * (a + b))
-
-
 def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[ExplosiveStage]:
     """First interval where the Jacobian has a positive-growth eigenvalue.
 
     Scans the dense output (grid refined `_SUBDIVIDE`-fold) in one batch,
-    locates the sign changes of max Re lambda to `_REFINE_TOL` days, and
-    reports the first interval; its end is the explosive-timescale end
-    time t_exp.  Returns None when every scanned state is dissipative.
+    labelling each scan time by max Re lambda > 0.  Each boundary of the
+    first positive run is refined to `_REFINE_TOL` days by
+    `integrator._bisect` from the two scan labels around it, so the growth
+    rate is read again only at the bisection's midpoints; the boundary is
+    the final cell's midpoint.  The interval is reported; its end is the
+    explosive-timescale end time t_exp (the last scan time if the stage
+    is still open there).  Returns None when every scanned state is
+    dissipative.
     """
     base = traj.t
     if len(base) < 2:
@@ -353,23 +335,25 @@ def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[Explosiv
     if not np.any(inside):
         return None
 
+    inside_at = lambda t: _growth_rates(dense_states(traj, [t]), params)[0] > 0.0
+
+    def refine(j: int) -> float:
+        """The boundary in the scan cell (times[j-1], times[j])."""
+        lo, hi = _bisect(inside_at, times[j - 1], times[j], _REFINE_TOL,
+                         ends=(inside[j - 1], inside[j]))
+        return float(0.5 * (lo + hi))
+
     first = int(np.argmax(inside))
-    event = lambda t: float(_growth_rates(dense_states(traj, [t]), params)[0])
     if first == 0:
         start = float(times[0])
     else:
-        start = _bisect(event, times[first - 1], times[first])
-        if start is None:  # sign change narrower than the scan spacing
-            start = float(times[first])
+        start = refine(first)
 
     after = np.nonzero(~inside[first:])[0]
     if len(after) == 0:
         end = float(times[-1])  # stage still open at the end of the run
     else:
-        j = first + int(after[0])
-        end = _bisect(event, times[j - 1], times[j])
-        if end is None:
-            end = float(times[j])
+        end = refine(first + int(after[0]))
 
     mid = evaluate_dense(traj, 0.5 * (start + end))
     dec = decompose(mid, params)

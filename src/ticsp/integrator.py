@@ -831,13 +831,13 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     confirmed = False
     if cfg.rtol < _SCOUT_RTOL:
         try:
-            lo_f, hi_f = _bisect(scout, lo, hi, ends=("TFE", "HTE"))
+            lo_f, hi_f = _bisect(scout, lo, hi, 1.0, ends=("TFE", "HTE"))
         except (RuntimeError, ValueError):
             pass
         else:
             confirmed = run(lo_f) == "TFE" and run(hi_f) == "HTE"
     if not confirmed:
-        lo_f, hi_f = _bisect(run, lo, hi)
+        lo_f, hi_f = _bisect(run, lo, hi, 1.0)
     if _LOGGER.isEnabledFor(logging.DEBUG):
         _LOGGER.debug("threshold: cell (%r, %r] %s after %d scout runs and %d full runs",
                       lo_f, hi_f, "confirmed" if confirmed else "by plain bisection",
@@ -845,12 +845,14 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     return hi_f
 
 
-def _bisect(label: Callable[[float], str], lo: float, hi: float,
-            ends: Optional[tuple[str, str]] = None) -> tuple[float, float]:
-    """Bisect (lo, hi) down to <= 1 cell on `label`; returns the final
-    cell (lo_f, hi_f).  `ends`, the labels of lo and hi, are taken as
-    given; without them both ends are run, and raise ValueError if they
-    take the same label."""
+def _bisect(label: Callable[[float], object], lo: float, hi: float, width: float,
+            ends: Optional[tuple] = None) -> tuple[float, float]:
+    """Bisect (lo, hi) on the two-valued `label` down to a cell no wider
+    than `width`; returns the final cell (lo_f, hi_f).  Each midpoint
+    taking lo's label replaces lo, any other replaces hi.  `ends`, the
+    labels of lo and hi, are taken as given and `label` is called only at
+    midpoints; without them both ends are labelled first, and raise
+    ValueError if they take the same label."""
     if ends is None:
         ends = label(lo), label(hi)
         if ends[0] == ends[1]:
@@ -858,7 +860,7 @@ def _bisect(label: Callable[[float], str], lo: float, hi: float,
                 f"bracket endpoints classify to the same attractor ({ends[0]}); "
                 "widen the bracket"
             )
-    while hi - lo > 1.0:
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if label(mid) == ends[0]:
             lo = mid

@@ -28,8 +28,8 @@ process k and R(y) the vector of nonnegative process rates:
 The fractional-kill factor D = d (L/T)^l / (s + (L/T)^l) saturates at d
 for L >> T and vanishes for L = 0 (the limit is handled exactly).
 
-Processes are numbered 1..15 as above in reports, CSV files and
-`PROCESS_LABELS`; in the rate and gradient arrays process k sits at k-1.
+Processes are numbered 1..15 as above in reports and CSV files; in the
+rate and gradient arrays process k sits at k-1.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ import numpy as np
 from .params import ParameterSet
 
 __all__ = [
-    "VARIABLES", "N_PROCESSES", "STOICHIOMETRY", "PROCESS_LABELS",
+    "VARIABLES", "N_PROCESSES", "STOICHIOMETRY",
     "DomainError", "State", "ProcessSet", "process_rates",
     "rates_array", "rhs_array", "jacobian_array", "jacobian_batch",
     "T_FLOOR", "floor_state", "floored_rhs",
@@ -58,25 +58,6 @@ STOICHIOMETRY = np.array([
     [  0,  0,  1,  0,  0, -1,  0,  0,  0,  0,  0,  0,  0,  0,  0],  # C
 ], dtype=float)
 STOICHIOMETRY.setflags(write=False)
-
-PROCESS_LABELS = {
-    1: "tumor logistic growth",
-    2: "NK production from lymphocytes",
-    3: "lymphocyte production",
-    4: "NK turnover",
-    5: "CD8+ turnover",
-    6: "lymphocyte turnover",
-    7: "tumor kill by NK",
-    8: "tumor kill by CD8+ (saturating)",
-    9: "NK recruitment by tumor",
-    10: "CD8+ recruitment by tumor kill",
-    11: "CD8+ priming by NK debris",
-    12: "CD8+ priming from lymphocytes",
-    13: "NK inactivation by tumor",
-    14: "CD8+ inactivation by tumor",
-    15: "CD8+ self-limitation",
-}
-
 
 T_FLOOR = 1e-300  # the T -> 0+ stand-in; T decays exponentially, never to 0
 _STATE_FLOOR = np.array([T_FLOOR, 0.0, 0.0, 0.0])

@@ -106,21 +106,20 @@ def constraint_errors(traj: Trajectory, p: ParameterSet,
         re_n = (N - N_hat) / np.where(N > 0, N, np.nan)
         re_l = (L - L_hat) / np.where(L > 0, L, np.nan)
 
-    if stage is None:
-        return ConstraintErrorSeries(t=traj.t, re_n=re_n, re_l=re_l,
-                                     t_exp=None, window=None)
-    lo, hi = 0.2 * stage.end, 0.95 * stage.end
-    sel = (traj.t >= lo) & (traj.t <= hi) & np.isfinite(re_n) & np.isfinite(re_l)
-    if not np.any(sel):
-        return ConstraintErrorSeries(t=traj.t, re_n=re_n, re_l=re_l,
-                                     t_exp=stage.end, window=(lo, hi))
-    return ConstraintErrorSeries(
-        t=traj.t, re_n=re_n, re_l=re_l, t_exp=stage.end, window=(lo, hi),
-        max_re_n=float(np.max(np.abs(re_n[sel]))),
-        max_re_l=float(np.max(np.abs(re_l[sel]))),
-        mean_re_n=float(np.mean(np.abs(re_n[sel]))),
-        mean_re_l=float(np.mean(np.abs(re_l[sel]))),
-    )
+    t_exp = window = None
+    summary = {}
+    if stage is not None:
+        t_exp = stage.end
+        lo, hi = 0.2 * t_exp, 0.95 * t_exp
+        window = (lo, hi)
+        sel = (traj.t >= lo) & (traj.t <= hi) & np.isfinite(re_n) & np.isfinite(re_l)
+        if np.any(sel):
+            summary = dict(max_re_n=float(np.max(np.abs(re_n[sel]))),
+                           max_re_l=float(np.max(np.abs(re_l[sel]))),
+                           mean_re_n=float(np.mean(np.abs(re_n[sel]))),
+                           mean_re_l=float(np.mean(np.abs(re_l[sel]))))
+    return ConstraintErrorSeries(t=traj.t, re_n=re_n, re_l=re_l, t_exp=t_exp,
+                                 window=window, **summary)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from ticsp import DEFAULT_PARAMETERS, State
 from ticsp import csp
 from ticsp.csp import (
     DecompositionError,
-    _bisect,
     _normalize_rows,
     api,
     decompose,
@@ -20,6 +19,7 @@ from ticsp.csp import (
     tpi,
 )
 from ticsp.equilibria import find_hte, tfe, tfe_eigenvalues
+from ticsp.harness import SCENARIOS
 from ticsp.integrator import IntegratorConfig, evaluate_dense, integrate
 from ticsp.kinetics import STOICHIOMETRY, jacobian_array, process_rates, rhs_array
 
@@ -231,6 +231,67 @@ def test_tr_stage():
     assert st.mode_index == 3
 
 
+# Stage boundaries and mode bit for bit (float.hex), frozen: the four
+# reference cases, seven starts whose stage opens after t = 0, and TP cut
+# at 10 days, while its stage is still open.
+DELAYED = [(1e6, 1e5, 1e6, 6e8), (1e6, 1e5, 1e7, 6e8), (1e6, 1e5, 1e8, 6e8),
+           (1e7, 1e3, 1e7, 6e8), (1e7, 1e5, 1e7, 6e8), (1e7, 1e3, 1e8, 6e8),
+           (1e7, 1e5, 1e8, 6e8)]
+STAGE_CASES = [
+    pytest.param(SCENARIOS["TP"].state, None, "0x0.0p+0", "0x1.0380a00000000p+4", id="TP"),
+    pytest.param(SCENARIOS["TR"].state, None, "0x0.0p+0", "0x1.26994c3e113f6p+1", id="TR"),
+    pytest.param(SCENARIOS["TP1"].state, None, "0x0.0p+0", "0x1.2a21300000000p+5", id="TP1"),
+    pytest.param(SCENARIOS["TR1"].state, None, "0x0.0p+0", "0x1.8aefe00000000p+4", id="TR1"),
+] + [
+    pytest.param(State(0.0, *y0), None, start, end, id="delayed-%g-%g-%g" % y0[:3])
+    for y0, (start, end) in zip(DELAYED, [
+        ("0x1.62bd68258f316p-4", "0x1.174d200000000p+4"),
+        ("0x1.187a3a4a4daf1p-3", "0x1.2178e00000000p+4"),
+        ("0x1.242bc73fa1203p-3", "0x1.22d3e00000000p+4"),
+        ("0x1.34900de2ab9e8p-5", "0x1.64db400000000p+3"),
+        ("0x1.ee1be5854363ep-8", "0x1.5643400000000p+3"),
+        ("0x1.da99b16886c42p-3", "0x1.8c88c00000000p+3"),
+        ("0x1.74ad5ef0ad142p-7", "0x1.5710400000000p+3"),
+    ])
+] + [
+    pytest.param(SCENARIOS["TP"].state, IntegratorConfig(t_end=10.0), "0x0.0p+0",
+                 "0x1.4000000000000p+3", id="TP-open-at-10d"),
+]
+
+
+@pytest.mark.parametrize("y0, config, start, end", STAGE_CASES)
+def test_stage_bit_for_bit(y0, config, start, end):
+    st = explosive_stage(integrate(y0, P, config), P)
+    assert (st.start.hex(), st.end.hex(), st.mode_index) == (start, end, 3)
+
+
+def test_stage_reads_the_growth_rate_only_at_bisection_midpoints(monkeypatch):
+    # Both boundaries are refined from the scan's own labels: no single-point
+    # read falls on a scan time, and there is one read per midpoint.
+    traj = integrate(State(0.0, *DELAYED[0]), P)
+    reads = []
+    original = csp.dense_states
+
+    def recorded(traj, times):
+        reads.append(np.array(times, dtype=float))
+        return original(traj, times)
+
+    monkeypatch.setattr(csp, "dense_states", recorded)
+    st = explosive_stage(traj, P)
+    scan, points = reads[0], np.concatenate(reads[1:])
+    assert all(len(r) == 1 for r in reads[1:])
+    assert not np.isin(points, scan).any()
+    midpoints = 0
+    for t in (st.start, st.end):
+        k = np.searchsorted(scan, t)
+        width = scan[k] - scan[k - 1]
+        while width > csp._REFINE_TOL:
+            width *= 0.5
+            midpoints += 1
+    assert 0.0 < st.start and midpoints > 0
+    assert len(points) == midpoints
+
+
 def test_no_stage_from_stable_equilibrium():
     e1 = next(e for e in find_hte(P) if e.stable)
     traj = integrate(State.from_array(0.0, e1.y), P, IntegratorConfig(t_end=50.0))
@@ -327,26 +388,3 @@ def test_track_pins_pointer_along_trajectory(tp_traj, tp_stage):
         po = pointer(decompose(s, P))
         assert po[0, 1] > 0.95   # mode 1 stays pinned to N
         assert po[1, 2] > 0.95   # mode 2 stays pinned to L
-
-
-# ---------------------------------------------------------------------------
-# Stage-boundary bisection
-
-def test_bisect_refines_a_sign_change():
-    calls = []
-    event = lambda t: calls.append(t) or t - 1.3
-    root = _bisect(event, 1.0, 2.0)
-    assert abs(root - 1.3) <= 1e-4
-    assert calls[:2] == [1.0, 2.0]          # both endpoints first
-    assert all(1.0 < t < 2.0 for t in calls[2:])
-
-
-def test_bisect_returns_a_zero_endpoint():
-    assert _bisect(lambda t: t - 1.0, 1.0, 2.0) == 1.0
-    assert _bisect(lambda t: t - 2.0, 1.0, 2.0) == 2.0
-    assert _bisect(lambda t: 0.5 - t, 0.0, 1.0) == 0.5   # exact midpoint
-
-
-def test_bisect_none_without_sign_change():
-    assert _bisect(lambda t: t + 1.0, 1.0, 2.0) is None
-    assert _bisect(lambda t: -t, 1.0, 2.0) is None

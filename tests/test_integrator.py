@@ -800,9 +800,26 @@ def test_basin_threshold_needs_its_confirmation(monkeypatch):
     targets = stable_equilibria(P)
     _, hi_f = integrator._bisect(
         lambda T0: settle_attractor(np.array([T0, *IMMUNE]), P, scout_cfg, targets),
-        3.1e5, 3.3e5, ends=("TFE", "HTE"))
+        3.1e5, 3.3e5, 1.0, ends=("TFE", "HTE"))
     assert hi_f.hex() != "0x1.37e82cd000000p+18"
     assert basin_threshold(*IMMUNE, P, (3.1e5, 3.3e5)).hex() == "0x1.37e82cd000000p+18"
+
+
+def test_bisect_with_given_ends_labels_only_midpoints():
+    calls = []
+    label = lambda t: calls.append(t) or t > 1.3
+    lo, hi = integrator._bisect(label, 1.0, 2.0, 1e-3, ends=(False, True))
+    assert lo < 1.3 <= hi
+    assert calls and all(1.0 < t < 2.0 for t in calls)
+
+
+def test_bisect_stops_at_the_given_width():
+    for width, halvings in [(0.25, 2), (0.2, 3), (1e-4, 14)]:
+        calls = []
+        lo, hi = integrator._bisect(lambda t: calls.append(t) or t > 0.7, 0.0, 1.0, width)
+        assert calls[:2] == [0.0, 1.0]   # no ends given: both are labelled first
+        assert len(calls) == 2 + halvings
+        assert hi - lo == 0.5 ** halvings and lo < 0.7 <= hi
 
 
 def test_basin_threshold_needs_no_scout_at_a_loose_caller_tolerance(monkeypatch):
