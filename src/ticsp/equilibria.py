@@ -18,12 +18,14 @@ large sentinels whose signs match the adjacent feasible limits
 (F -> -L*_- < 0 as D* -> 0+, F -> +inf as D* -> d-), so plain sign
 bracketing never manufactures spurious roots at feasibility boundaries.
 `find_hte` evaluates F on its whole T* grid in one array pass to find the
-sign changes, then refines each with `brentq` on the scalar `hte_residual`.
+sign changes, then refines each with `brentq` on the scalar `hte_residual`;
+a sweep makes one pass per `_CHUNK` of parameter sets and one `eigvals` call.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -35,12 +37,14 @@ from .params import ParameterSet, PARAMETER_NAMES
 __all__ = [
     "Equilibrium", "BifurcationBranch", "BifurcationScan",
     "tfe", "tfe_eigenvalues", "tfe_stable", "n_star", "hte_residual",
-    "hte_state", "find_hte", "classify_stability", "bifurcation_scan",
+    "hte_state", "find_hte", "bifurcation_scan",
 ]
 
 _SENTINEL = 1e300
 _T_GRID = np.geomspace(1.0, 1e10, 400)  # the HTE root scan's T* grid
-_EPS_STAB = 1e-12  # classify_stability: margin below 0 of every stable real part
+_constants = attrgetter(*PARAMETER_NAMES)  # a ParameterSet's values, in order
+_CHUNK = 16  # parameter sets per grid pass: 200 swept values peak at 0.9 MB traced, not 8.8
+_EPS_STAB = 1e-12  # margin below 0 of every real part of a stable HTE
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,14 @@ def tfe_eigenvalues(p: ParameterSet) -> np.ndarray:
     return np.array([lam1, -p.f, -p.m, -p.beta])
 
 
+def _tfe_margin(q: ParameterSet) -> float:
+    """(a - d) beta f - alpha c e, negative where the TFE is stable."""
+    return (q.a - q.d) * q.beta * q.f - q.alpha * q.c * q.e
+
+
 def tfe_stable(p: ParameterSet) -> bool:
     """Stability predicate of the TFE: (a - d) beta f < alpha c e."""
-    return (p.a - p.d) * p.beta * p.f < p.alpha * p.c * p.e
+    return _tfe_margin(p) < 0.0
 
 
 def tfe(p: ParameterSet) -> tuple[Equilibrium, Equilibrium]:
@@ -196,15 +205,17 @@ def hte_residual(Tstar: float, p: ParameterSet) -> float:
     return _cd8_for_kill(Tstar, D, p) - L_minus
 
 
-def _hte_grid_residuals(p: ParameterSet) -> np.ndarray:
+def _hte_grid_residuals(p) -> np.ndarray:
     """`hte_residual` on all of `_T_GRID` in one array pass, its domain branches
-    as masks.  numpy's array `power` may differ from libm's `pow` in the last
-    bit, so the values may too; their signs and zeros do not."""
+    as masks; for one ParameterSet, or one row each for m of them given as
+    (m, 1) columns of constants.  numpy's array `power` may differ from libm's
+    `pow` in the last bit, so the values may too; their signs and zeros do not."""
     T = _T_GRID
     num, denom = _nk_balance(T, p)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # on lanes with denom <= 0 or D* outside (0, d), masked out below
         D, a2, b2, c2 = _kill_and_quadratic(T, num / denom, p)
+        L_D = _cd8_for_kill(T, D, p)
     low = (denom <= 0.0) | (D <= 0.0)
     ok = ~low & ~(D >= p.d)
     disc, r1, r2 = _quadratic_roots(a2[ok], b2[ok], c2[ok])
@@ -214,7 +225,7 @@ def _hte_grid_residuals(p: ParameterSet) -> np.ndarray:
     if not np.all(L_minus > 0.0):
         raise DomainError(_NO_POSITIVE_ROOT)
     F = np.where(low, -_SENTINEL, +_SENTINEL)
-    F[ok] = _cd8_for_kill(T[ok], D[ok], p) - L_minus
+    F[ok] = L_D[ok] - L_minus
     return F
 
 
@@ -226,53 +237,54 @@ def hte_state(Tstar: float, p: ParameterSet) -> np.ndarray:
     return np.array([Tstar, N, _positive_quadratic_root(a2, b2, c2), p.alpha / p.beta])
 
 
-def classify_stability(eq: Equilibrium, p: ParameterSet) -> Equilibrium:
-    """Fill eigenvalues and the stability flag of an equilibrium record.
-
-    Numeric eigensolver on the analytic Jacobian, except at the TFE
-    where the closed-form eigenvalues are used (T = 0 is not evaluable).
-    Stability requires every real part below -`_EPS_STAB`.
-    """
-    if eq.kind == "TFE":
-        eigs = tfe_eigenvalues(p).astype(complex) if eq.feasible else eq.eigenvalues
-    else:
-        eigs = np.linalg.eigvals(jacobian_array(eq.y, p))
-    stable = bool(np.all(eigs.real < -_EPS_STAB))
-    return dataclasses.replace(eq, eigenvalues=eigs, stable=stable)
-
-
 def find_hte(p: ParameterSet) -> list[Equilibrium]:
     """All feasible high-tumor equilibria with T* in [1, 1e10], sorted by T*.
 
     One array pass of the residual over a 400-point log-spaced grid only
     decides signs and zeros; `brentq` on the scalar `hte_residual` refines each
     sign change to 4 eps relative tolerance in T*, so no root depends on the
-    grid's last bits.  Then each state is reconstructed and classified.  An
-    empty list is a valid outcome (e.g. past the saddle-node).
+    grid's last bits.  Then each state is reconstructed and classified, on
+    the path of a sweep (`_find_hte_many`).  An empty list is a valid outcome
+    (e.g. past the saddle-node).
     """
-    F = _hte_grid_residuals(p)
-    zero = F[:-1] == 0.0
-    pos = F > 0.0
+    return _find_hte_many([p])[0]
 
-    # Refine to machine precision: the returned states must satisfy the
-    # equilibrium conditions to ~1e-10 of the population scale.
-    roots = [float(_T_GRID[i]) for i in np.flatnonzero(zero)]
-    roots += [brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(p,),
-                     rtol=4.0 * np.finfo(float).eps, xtol=1e-13 * max(1.0, _T_GRID[i]))
-              for i in np.flatnonzero(~zero & (pos[:-1] != pos[1:]))]
-    if F[-1] == 0.0:
-        roots.append(float(_T_GRID[-1]))
 
-    out: list[Equilibrium] = []
-    for T in sorted(roots):
-        if out and abs(T - out[-1].T) <= 1e-8 * T:
-            continue  # duplicate root found from adjacent brackets
-        y = hte_state(T, p)
-        eq = Equilibrium(kind="HTE", y=y, eigenvalues=np.zeros(4, complex),
-                         stable=False, feasible=bool(np.all(y > 0.0)))
-        if eq.feasible:
-            out.append(classify_stability(eq, p))
-    return out
+def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
+    """`find_hte` for each parameter set of `qs`, with one grid pass per
+    `_CHUNK` of them and one `eigvals` call for the states of all of them
+    (LAPACK `geev` per matrix, so each state's eigenvalues are bit for bit
+    those of its own call)."""
+    states: list[list[np.ndarray]] = []
+    for start in range(0, len(qs), _CHUNK):
+        chunk = qs[start:start + _CHUNK]
+        columns = np.array([_constants(q) for q in chunk]).T[:, :, None]
+        F = _hte_grid_residuals(SimpleNamespace(**dict(zip(PARAMETER_NAMES, columns))))
+        zero = F == 0.0
+        brackets = ~zero[:, :-1] & ((F[:, :-1] > 0.0) != (F[:, 1:] > 0.0))
+        for q, zero_q, brackets_q in zip(chunk, zero, brackets):
+            # Refine to machine precision: the returned states must satisfy the
+            # equilibrium conditions to ~1e-10 of the population scale.
+            roots = [float(_T_GRID[i]) for i in np.flatnonzero(zero_q)]
+            roots += [brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(q,),
+                             rtol=4.0 * np.finfo(float).eps, xtol=1e-13 * max(1.0, _T_GRID[i]))
+                      for i in np.flatnonzero(brackets_q)]
+            ys: list[np.ndarray] = []
+            for T in sorted(roots):
+                if ys and abs(T - ys[-1][0]) <= 1e-8 * T:
+                    continue  # duplicate root found from adjacent brackets
+                y = hte_state(T, q)
+                if np.all(y > 0.0):
+                    ys.append(y)
+            states.append(ys)
+
+    pairs = [(q, y) for q, ys in zip(qs, states) for y in ys]
+    eigs = np.linalg.eigvals(np.reshape([jacobian_array(y, q) for q, y in pairs], (-1, 4, 4)))
+    stable = np.all(eigs.real < -_EPS_STAB, axis=1)
+    # a state's own call returns real eigenvalues when none has an imaginary part
+    eqs = iter([Equilibrium("HTE", y, w if w.imag.any() else w.real, bool(st), True)
+                for (_, y), w, st in zip(pairs, eigs, stable)])
+    return [[next(eqs) for _ in ys] for ys in states]
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +307,6 @@ class BifurcationScan:
     saddle_node: Optional[float]     # last swept value with two feasible HTE
 
 
-def _tfe_margin(q: ParameterSet) -> float:
-    """(a - d) beta f - alpha c e, negative where the TFE is stable."""
-    return (q.a - q.d) * q.beta * q.f - q.alpha * q.c * q.e
-
-
 def bifurcation_scan(
     p: ParameterSet,
     parameter: str,
@@ -314,6 +321,8 @@ def bifurcation_scan(
     sorted-T* order), locates the transcritical point where the TFE
     stability margin (a-d) beta f - alpha c e changes sign, and reports
     the saddle-node as the last swept value carrying two feasible HTE.
+    The HTE come from one grid pass per `_CHUNK` of swept values and one
+    `eigvals` call for the whole sweep, each bit for bit as `find_hte`.
     Both ends of `value_range` must be finite, and positive with `log`.
     """
     if parameter not in PARAMETER_NAMES:
@@ -327,10 +336,11 @@ def bifurcation_scan(
     values = np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
 
     qs = [p.replace(**{parameter: float(v)}) for v in values]
-    results = [find_hte(q) for q in qs]  # each sorted by T*
+    results = _find_hte_many(qs)  # each sorted by T*
+    margins = [_tfe_margin(q) for q in qs]
 
     tfe_branch = BifurcationBranch("TFE", [float(v) for v in values],
-                                   [0.0] * len(values), [tfe_stable(q) for q in qs])
+                                   [0.0] * len(values), [m < 0.0 for m in margins])
     hte_branches: list[BifurcationBranch] = []
     open_branches: list[BifurcationBranch] = []
     for value, eqs in zip(values, results):
@@ -345,7 +355,6 @@ def bifurcation_scan(
             br.T_star.append(eq.T)
             br.stable.append(eq.stable)
 
-    margins = [_tfe_margin(q) for q in qs]
     transcritical = None
     for i in range(len(values) - 1):
         if margins[i] == 0.0:

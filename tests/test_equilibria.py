@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ticsp import DEFAULT_PARAMETERS, DomainError, ParameterSet, equilibria
 from ticsp.equilibria import (
     Equilibrium,
     bifurcation_scan,
-    classify_stability,
     find_hte,
     hte_residual,
     hte_state,
@@ -18,6 +18,7 @@ from ticsp.equilibria import (
     tfe,
     tfe_eigenvalues,
     tfe_stable,
+    _find_hte_many,
     _hte_grid_residuals,
     _nk_balance,
     _positive_quadratic_root,
@@ -142,13 +143,11 @@ def test_find_hte_empty_past_saddle_node():
     assert find_hte(P.replace(d=1200.0)) == []
 
 
-def test_classify_stability_epsilon(monkeypatch):
-    eq = find_hte(P)[1]
-    strict = classify_stability(eq, P)
-    assert strict.stable
+def test_find_hte_stability_epsilon(monkeypatch):
+    assert [e.stable for e in find_hte(P)] == [False, True]
     # an absurdly large margin declares everything unstable
     monkeypatch.setattr(equilibria, "_EPS_STAB", 1e6)
-    assert not classify_stability(eq, P).stable
+    assert [e.stable for e in find_hte(P)] == [False, False]
 
 
 def test_bifurcation_scan_d():
@@ -213,7 +212,8 @@ def test_bifurcation_scan_rejects_a_bad_range_before_any_equilibrium(value_range
 
 def _find_hte_loop(p):
     """find_hte as it was before the array grid pass: the scalar residual at
-    each grid point and a Python loop over the brackets (the test oracle)."""
+    each grid point, a Python loop over the brackets and one eigenvalue call
+    per state (the test oracle)."""
     F = np.array([hte_residual(T, p) for T in _T_GRID])
     roots = []
     for i in range(len(_T_GRID) - 1):
@@ -230,10 +230,11 @@ def _find_hte_loop(p):
         if out and abs(T - out[-1].T) <= 1e-8 * T:
             continue
         y = hte_state(T, p)
-        eq = Equilibrium(kind="HTE", y=y, eigenvalues=np.zeros(4, complex),
-                         stable=False, feasible=bool(np.all(y > 0.0)))
-        if eq.feasible:
-            out.append(classify_stability(eq, p))
+        if np.all(y > 0.0):
+            eigs = np.linalg.eigvals(jacobian_array(y, p))
+            out.append(Equilibrium(kind="HTE", y=y, eigenvalues=eigs,
+                                   stable=bool(np.all(eigs.real < -equilibria._EPS_STAB)),
+                                   feasible=True))
     return out
 
 
@@ -285,14 +286,17 @@ def test_find_hte_bit_identical_to_the_loop_scan(p):
     _assert_same_equilibria(find_hte(p), _find_hte_loop(p))
 
 
-@pytest.mark.parametrize("value_range, steps, log", [((0.05, 1.0), 40, False),
-                                                     ((2.34, 2000.0), 60, True)])
-def test_bifurcation_scan_bit_identical_to_the_loop_scan(value_range, steps, log):
-    scan = bifurcation_scan(P, "d", value_range, steps, log=log)
-    oracle = {}
-    for v in scan.values:
-        q = P.replace(d=float(v))
-        oracle[float(v)] = _find_hte_loop(q)
+@pytest.mark.parametrize("name, value_range, steps, log", [
+    ("d", (0.05, 1.0), 40, False),
+    ("d", (2.34, 2000.0), 60, True),
+    *((name, (0.1 * getattr(P, name), 10.0 * getattr(P, name)), 40, True) for name in "gjp"),
+], ids=["d-linear", "d-log", "g-log", "j-log", "p-log"])
+def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, steps, log):
+    scan = bifurcation_scan(P, name, value_range, steps, log=log)
+    qs = [P.replace(**{name: float(v)}) for v in scan.values]
+    oracle = {float(v): _find_hte_loop(q) for v, q in zip(scan.values, qs)}
+    for v, q, eqs in zip(scan.values, qs, _find_hte_many(qs)):
+        _assert_same_equilibria(eqs, oracle[float(v)])
         _assert_same_equilibria(find_hte(q), oracle[float(v)])
     entries = [(v, T, stable) for b in scan.branches[1:]
                for v, T, stable in zip(b.values, b.T_star, b.stable)]
@@ -308,6 +312,65 @@ def test_scan_results_pinned_to_the_last_bit():
     assert hte_residual(1e7, P).hex() == "-0x1.3735033515683p+20"
     scan = bifurcation_scan(P, "d", (0.01, 2000.0), steps=120, log=True)
     assert scan.transcritical.hex() == "0x1.b952c30ef0ad0p-2"
+
+
+def test_find_hte_many_keeps_each_states_own_eigenvalue_dtype():
+    # at g = 0.783 one state has complex eigenvalues; its stacked call still
+    # hands the others the real arrays their own calls return
+    qs = [P, P.replace(g=0.783), P.replace(d=0.1)]
+    got = _find_hte_many(qs)
+    assert [e.eigenvalues.dtype.kind for e in got[1]] == ["f", "c", "f", "f"]
+    for eqs, q in zip(got, qs):
+        _assert_same_equilibria(eqs, _find_hte_loop(q))
+
+
+# float.hex of T* and of each eigenvalue's (real, imaginary) parts, recorded
+# with one find_hte call and one eigenvalue call per state
+_PINNED = {
+    0.1: [("0x1.d37b1c5d234aep+29", [("-0x1.b9533444c1000p-2", "0x0.0p+0"),
+                                     ("-0x1.5c13d7a0e5b8dp+10", "0x0.0p+0"),
+                                     ("-0x1.a31d8ad29fde2p+11", "0x0.0p+0"),
+                                     ("-0x1.89374bc6a7efap-7", "0x0.0p+0")])],
+    0.43: [("0x1.d3759ca37c711p+29", [("-0x1.b9432a30bd000p-2", "0x0.0p+0"),
+                                      ("-0x1.5c1056aaef368p+10", "0x0.0p+0"),
+                                      ("-0x1.a3189cc05ad11p+11", "0x0.0p+0"),
+                                      ("-0x1.89374bc6a7efap-7", "0x0.0p+0")])],
+    2.34: [("0x1.22d8a6410f895p+24", [("0x1.678640d177880p-1", "0x0.0p+0"),
+                                      ("-0x1.b91287728b9e2p+4", "0x0.0p+0"),
+                                      ("-0x1.04e17a857d572p+6", "0x0.0p+0"),
+                                      ("-0x1.89374bc6a7efap-7", "0x0.0p+0")]),
+           ("0x1.d355c39a44bf7p+29", [("-0x1.b8e6454a9e000p-2", "0x0.0p+0"),
+                                      ("-0x1.5bf8df8c6068bp+10", "0x0.0p+0"),
+                                      ("-0x1.a2fc0f4a3042bp+11", "0x0.0p+0"),
+                                      ("-0x1.89374bc6a7efap-7", "0x0.0p+0")])],
+    500.0: [("0x1.3ec1c09931147p+28", [("0x1.c8df1f48e9400p-2", "0x0.0p+0"),
+                                       ("-0x1.dad1fca26be58p+8", "0x0.0p+0"),
+                                       ("-0x1.1dc8757013949p+10", "0x0.0p+0"),
+                                       ("-0x1.89374bc6a7efap-7", "0x0.0p+0")]),
+            ("0x1.ac71085975013p+29", [("-0x1.4774ce2baa000p-2", "0x0.0p+0"),
+                                       ("-0x1.3f043e895f58bp+10", "0x0.0p+0"),
+                                       ("-0x1.801d86ce35005p+11", "0x0.0p+0"),
+                                       ("-0x1.89374bc6a7efap-7", "0x0.0p+0")])],
+    1100.0: [],
+}
+
+
+@pytest.mark.parametrize("d", sorted(_PINNED))
+def test_find_hte_eigenvalues_pinned_to_the_last_bit(d):
+    got = [(e.T.hex(), [(w.real.hex(), w.imag.hex()) for w in e.eigenvalues])
+           for e in find_hte(P.replace(d=d))]
+    assert got == _PINNED[d]
+
+
+def test_bifurcation_scan_memory_is_bounded():
+    # one grid pass per chunk of swept values, not one for the whole sweep
+    tracemalloc.start()
+    try:
+        bifurcation_scan(P, "d", (2.34, 2000.0), 200, log=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
 
 
 def _patched_quadratic(monkeypatch, change):

@@ -1,5 +1,6 @@
-"""The tier-1 command CI runs is the one ROADMAP.md documents, and CI runs
-each benchmark workload once and checks its result line."""
+"""The tier-1 command CI runs is the one ROADMAP.md documents, CI checks the
+benchmark's seeded input ranges, and it runs each benchmark workload once
+and checks its result line."""
 import json
 import re
 from pathlib import Path
@@ -45,3 +46,8 @@ def test_ci_runs_the_basin_bisection_benchmark_and_checks_it():
 @pytest.mark.parametrize("workload", [w for w in WORKLOADS if w != "basin_bisection"])
 def test_ci_smoke_runs_the_other_workloads_and_checks_them(workload):
     _assert_ci_smoke_runs(workload)
+
+
+def test_ci_checks_the_benchmark_input_ranges():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert re.findall(r"^        run: python3 perfbench/check_jitter\.py$", workflow, re.M)
