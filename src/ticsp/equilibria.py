@@ -18,18 +18,20 @@ large sentinels whose signs match the adjacent feasible limits
 (F -> -L*_- < 0 as D* -> 0+, F -> +inf as D* -> d-), so plain sign
 bracketing never manufactures spurious roots at feasibility boundaries.
 `find_hte` evaluates F on its whole T* grid in one array pass to find the
-sign changes, then refines each with `brentq` on the scalar `hte_residual`;
+sign changes, then refines each with `_brentq` on the scalar `hte_residual`;
 a sweep makes one pass per `_CHUNK` of parameter sets and one `eigvals` call.
+`_brentq` is scipy 1.17.1's `brentq`, ported so that no command imports
+`scipy.optimize`; the tests hold it to scipy's roots bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kinetics import DomainError, jacobian_array
 from .params import ParameterSet, PARAMETER_NAMES
@@ -163,11 +165,11 @@ def _hte_pieces(Tstar: float, p: ParameterSet):
     return (N, *_kill_and_quadratic(Tstar, N, p))
 
 
-def _quadratic_roots(a2, b2, c2):
+def _quadratic_roots(a2, b2, c2, lib=np):
     """Discriminant and roots qq/a2, c2/qq of a2 L^2 + b2 L + c2 (b2 is never
-    -0.0); floats or arrays.  The roots mean nothing where disc < 0."""
+    -0.0); arrays, or floats with `lib` math.  The roots mean nothing where disc < 0."""
     disc = b2 * b2 - 4.0 * a2 * c2
-    qq = -0.5 * (b2 + np.copysign(np.sqrt(abs(disc)), b2))  # numerically stable split
+    qq = -0.5 * (b2 + lib.copysign(lib.sqrt(abs(disc)), b2))  # numerically stable split
     return disc, qq / a2, c2 / qq
 
 
@@ -177,12 +179,12 @@ _NO_POSITIVE_ROOT = "no positive CD8+ root (should be impossible for positive pa
 
 def _positive_quadratic_root(a2: float, b2: float, c2: float) -> float:
     """The unique positive root of a2 L^2 + b2 L + c2 with a2 < 0 < c2."""
-    disc, *roots = _quadratic_roots(a2, b2, c2)
+    disc, *roots = _quadratic_roots(a2, b2, c2, math)
     if disc < 0.0:
         raise DomainError(_NEGATIVE_DISCRIMINANT)
     for root in roots:
         if root > 0.0:
-            return float(root)
+            return root
     raise DomainError(_NO_POSITIVE_ROOT)
 
 
@@ -229,6 +231,63 @@ def _hte_grid_residuals(p) -> np.ndarray:
     return F
 
 
+def _brentq(f, a, b, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b]: scipy 1.17.1's `brentq` (Brent 1973,
+    ch. 4; 100 iterations), its C loop ported operation by operation, so
+    roots and evaluation points are scipy's bit for bit.  Raises ValueError
+    for a NaN value of f or ends of the same sign (C's signbit), and
+    RuntimeError when not converged."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect, unless a step below is good
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C divides to inf or NaN here, and bisects
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur:f}")
+
+
 def hte_state(Tstar: float, p: ParameterSet) -> np.ndarray:
     """Reconstruct the full (T, N, L, C) vector at a residual root."""
     N, D, a2, b2, c2 = _hte_pieces(Tstar, p)
@@ -241,7 +300,7 @@ def find_hte(p: ParameterSet) -> list[Equilibrium]:
     """All feasible high-tumor equilibria with T* in [1, 1e10], sorted by T*.
 
     One array pass of the residual over a 400-point log-spaced grid only
-    decides signs and zeros; `brentq` on the scalar `hte_residual` refines each
+    decides signs and zeros; `_brentq` on the scalar `hte_residual` refines each
     sign change to 4 eps relative tolerance in T*, so no root depends on the
     grid's last bits.  Then each state is reconstructed and classified, on
     the path of a sweep (`_find_hte_many`).  An empty list is a valid outcome
@@ -266,8 +325,8 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
             # Refine to machine precision: the returned states must satisfy the
             # equilibrium conditions to ~1e-10 of the population scale.
             roots = [float(_T_GRID[i]) for i in np.flatnonzero(zero_q)]
-            roots += [brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(q,),
-                             rtol=4.0 * np.finfo(float).eps, xtol=1e-13 * max(1.0, _T_GRID[i]))
+            roots += [_brentq(lambda T: hte_residual(T, q), _T_GRID[i], _T_GRID[i + 1],
+                              1e-13 * max(1.0, _T_GRID[i]), 4.0 * np.finfo(float).eps)
                       for i in np.flatnonzero(brackets_q)]
             ys: list[np.ndarray] = []
             for T in sorted(roots):
@@ -361,8 +420,8 @@ def bifurcation_scan(
             transcritical = float(values[i])
             break
         if margins[i] * margins[i + 1] < 0.0:
-            transcritical = float(brentq(lambda v: _tfe_margin(p.replace(**{parameter: v})),
-                                         values[i], values[i + 1], rtol=1e-12))
+            transcritical = _brentq(lambda v: _tfe_margin(p.replace(**{parameter: v})),
+                                    values[i], values[i + 1], 2e-12, 1e-12)
             break
 
     saddle_node = None

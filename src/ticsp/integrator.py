@@ -1,7 +1,7 @@
 """Stiff initial-value integration with dense output.
 
 The model's timescales span five orders of magnitude, so integration
-uses an implicit adaptive method (Radau IIA via scipy) with the analytic
+uses an implicit adaptive method (Radau IIA of order 5) with the analytic
 Jacobian.  Output is reported on a grid mirroring the usual presentation
 of these runs: log-spaced times up to day 5, linear spacing thereafter;
 the continuous (dense) solution is kept for diagnostics at arbitrary
@@ -10,14 +10,16 @@ times, the stage boundaries among them.
 Every run, full or reduced, dense or endpoint-only, goes through one
 Radau driver, `_radau`: a loop over the steps of the solver class
 `_Radau`, with `solve_ivp`'s dense-output, output-grid and terminal-event
-semantics and none of its per-step bookkeeping.  `_Radau` is a lean copy
-of scipy 1.17.1's Radau step, with LU factor and solve calling LAPACK
-directly.  On these 4x4 systems scipy's per-call wrappers cost more than
-the arithmetic, and they are what it drops; driver and step keep every
-floating-point operation and its order, so steps, counters and dense
-output stay bit-identical to the stock `solve_ivp(method=Radau)`, which
-the tests use as the oracle.  The full model's right-hand side is one
-kinetics call, `floored_rhs`.
+semantics and none of its per-step bookkeeping.  `_Radau`, its dense
+output and the event root finder are lean copies of scipy 1.17.1's
+Radau, `OdeSolution` and `brentq` (so no command imports
+`scipy.integrate` or `scipy.optimize`), with LU factor and solve calling
+LAPACK through `scipy.linalg`.  On these 4x4 systems scipy's per-call
+wrappers cost more than the arithmetic, and they are what it drops;
+driver and step keep every floating-point operation and its order, so
+steps, counters and dense output stay bit-identical to the stock
+`solve_ivp(method=Radau)`, which the tests use as the oracle.  The full
+model's right-hand side is one kinetics call, `floored_rhs`.
 
 Also provides the basin-of-attraction bisection on the initial tumor
 burden: runs are classified by which stable equilibrium they settle to,
@@ -36,18 +38,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import OdeSolution, Radau
-from scipy.integrate._ivp.common import EPS
-from scipy.integrate._ivp.ivp import MESSAGES
-from scipy.integrate._ivp.radau import (
-    MAX_FACTOR, MIN_FACTOR, MU_COMPLEX, MU_REAL, NEWTON_MAXITER, TI_COMPLEX, TI_REAL,
-    RadauDenseOutput,
-)
-from scipy.integrate._ivp.radau import C as _C, E as _E, P as _P, T as _T, TI as _TI
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
-from scipy.optimize import brentq
 
-from .equilibria import Equilibrium, find_hte, tfe
+from .equilibria import Equilibrium, _brentq, find_hte, tfe
 from .kinetics import (
     DomainError, State, _saturation, floor_state, floored_rhs, jacobian_array,
 )
@@ -121,7 +114,7 @@ class Trajectory:
 
     t: np.ndarray               # (n,)
     y: np.ndarray               # (n, 4)
-    dense: object               # scipy OdeSolution
+    dense: object               # _OdeSolution, scipy's OdeSolution twin
     stats: SolverStats
     complete: bool
     atol: float = 1e-6
@@ -156,44 +149,137 @@ def _clip_undershoot(y: np.ndarray, atol: float, where: str) -> np.ndarray:
     return np.maximum(y, 0.0)
 
 
+# Radau IIA of order 5 (Hairer and Wanner, Solving ODEs II, 1996, IV.8):
+# scipy 1.17.1's constants, by its own expressions.
+_S6 = 6 ** 0.5
+_C = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1])
+_E = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1]) / 3
+MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
+              - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+_T = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1, 1, 0]])
+_TI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+TI_REAL = _TI[0]
+TI_COMPLEX = _TI[1] + 1j * _TI[2]
+_P = np.array([
+    [13/3 + 7*_S6/3, -23/3 - 22*_S6/3, 10/3 + 5 * _S6],
+    [13/3 - 7*_S6/3, -23/3 + 22*_S6/3, 10/3 - 5 * _S6],
+    [1/3, -8/3, 10/3]])
+NEWTON_MAXITER = 6
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+EPS = np.finfo(float).eps
+#: `solve_ivp`'s messages for the statuses that carry no solver message.
+MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
+            1: "A termination event occurred."}
+
 # LAPACK's LU factor and solve for the real and the complex Radau IIA
 # iteration matrices, resolved once instead of on every call.
 _DGETRF, _DGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 _ZGETRF, _ZGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
-class _Radau(Radau):
-    """scipy 1.17.1's Radau IIA with a lean step and direct LAPACK calls.
+def _rms(v):
+    """The RMS norm, scipy's `np.linalg.norm(v) / v.size ** 0.5`."""
+    return np.sqrt(v.dot(v)) / v.size ** 0.5
 
-    `_step_impl` is a copy of scipy's `Radau._step_impl` with
-    `solve_collocation_system`, `predict_factor`, the RMS `norm` and the
-    previous step's dense-output call written inline.  It performs the same
-    floating-point operations in the same order, on arrays of the same
-    memory layout: every product stays a numpy/BLAS `dot`, whose summation
-    order sets the last bits, the RMS norm is `sqrt(v.dot(v)) / v.size**0.5`
-    as `np.linalg.norm` computes it for a real array, and the Z0 predictor
-    takes the powers x, x*x, (x*x)*x in `cumprod`'s order.  So steps,
-    counters and dense values stay bit-identical to the stock solver's.
-    What it drops is per-call overhead: the RHS wrappers (it calls the raw
-    `fun` and counts `nfev` itself; `fun` must return a float array of
-    shape (n,)), the dense-output object on every step (it is built only
-    when asked for), `np.errstate` and the wrappers around `lu_factor` and
-    `lu_solve`.  `lu` and `solve_lu` call LAPACK getrf/getrs with the
-    routines, arguments and checks (non-finite input, illegal argument,
-    singular matrix) of `lu_factor(A, overwrite_a=True)` and
-    `lu_solve(LU, b, overwrite_b=True)`.  Forward integration only.
+
+class _Radau:
+    """scipy 1.17.1's Radau IIA solver for real states, a callable Jacobian
+    and forward runs, with a lean step and direct LAPACK calls.
+
+    `__init__` does what scipy's `OdeSolver` and `Radau` inits do here (the
+    checks on y0, rtol, atol and max_step, f0 and `select_initial_step`,
+    the Newton tolerance, the Jacobian at t0); `step`, `status`, `t_old`,
+    `dense_output` and the counters are the stock solver's, which can stand
+    in for it.  `_step_impl` is scipy's with `solve_collocation_system`,
+    `predict_factor` and the previous step's dense output inline.  They
+    perform the same floating-point operations in the same order, on arrays
+    of the same layout: every product stays a numpy/BLAS `dot`, whose
+    summation order sets the last bits, `_rms` is `np.linalg.norm`'s sum
+    for a real array, and the Z0 predictor takes the powers x, x*x, (x*x)*x
+    in `cumprod`'s order.  So steps, counters and dense values are the stock
+    solver's bit for bit.  What it drops is per-call overhead: the RHS
+    wrapper (`fun` must return a float array of shape (n,)), a dense-output
+    object per step, `np.errstate` and the wrappers of `lu_factor` and
+    `lu_solve`, whose LAPACK getrf/getrs calls and checks (non-finite input,
+    illegal argument, singular matrix) `lu` and `solve_lu` make directly.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, **kwargs):
-        super().__init__(fun, t0, y0, t_bound, **kwargs)
-        if self.direction != 1:
-            raise ValueError("_Radau integrates forward in time only")
-        self._rhs = fun
-        self._Q = None          # previous step's dense-output coefficients
-        self.lu = self._lu
-        self.solve_lu = self._solve_lu
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def _lu(self, A):
+    def __init__(self, fun, t0, y0, t_bound, max_step=np.inf, rtol=1e-3, atol=1e-6, jac=None):
+        if not t_bound > t0:
+            raise ValueError("_Radau integrates forward in time only")
+        y = np.asarray(y0).astype(float, copy=False)
+        if y.ndim != 1:
+            raise ValueError("`y0` must be 1-dimensional.")
+        if not np.isfinite(y).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        if max_step <= 0:
+            raise ValueError("`max_step` must be positive.")
+        self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
+        if rtol < 100 * EPS:
+            warnings.warn("At least one element of `rtol` is too small. "
+                          f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=2)
+            rtol = np.maximum(rtol, 100 * EPS)
+        atol = np.asarray(atol)
+        if atol.ndim > 0 and atol.shape != y.shape:
+            raise ValueError("`atol` has wrong shape.")
+        if np.any(atol < 0):
+            raise ValueError("`atol` must be positive.")
+        self.t, self.y, self.t_bound, self.t_old, self.y_old = t0, y, t_bound, None, None
+        self.max_step, self.rtol, self.atol = max_step, rtol, atol
+        self.status, self.nfev, self.njev, self.nlu = "running", 2, 1, 0
+        self._rhs, self._Q = fun, None     # _Q: previous step's dense-output coefficients
+        self.f = f0 = fun(t0, y)
+        # scipy's select_initial_step for an error of order 3 + 1
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f0 / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t0)
+        d2 = _rms((fun(t0 + h0, y + h0 * f0) - f0) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 4))
+        self.h_abs = min(100 * h0, h1, t_bound - t0, max_step)
+        self.h_abs_old = self.error_norm_old = None
+
+        def counted_jac(t, y):
+            self.njev += 1
+            return np.asarray(jac(t, y), dtype=float)
+
+        self.jac, self.J = counted_jac, np.asarray(jac(t0, y), dtype=float)
+        self.I = np.identity(y.size)
+        self.current_jac, self.LU_real, self.LU_complex = True, None, None
+
+    def step(self):
+        """One step; `status` becomes "finished" at t_bound and "failed" on
+        a step-size collapse, whose message is returned."""
+        success, message = self._step_impl()
+        self.status = ("finished" if self.t >= self.t_bound else "running") if success else "failed"
+        return message
+
+    def dense_output(self):
+        """scipy's `RadauDenseOutput` of the last step: its collocation
+        polynomial at a time (scalar path) or a 1-D array of times."""
+        t_old, h, y_old, Q = self.t_old, self.t - self.t_old, self.y_old, self._Q
+
+        def interpolant(t):
+            t = np.asarray(t)
+            x = (t - t_old) / h
+            p = np.cumprod(np.tile(x, (3, 1) if t.ndim else 3), axis=0)  # x, x^2, x^3
+            y = np.dot(Q, p)
+            y += y_old[:, None] if t.ndim else y_old
+            return y
+
+        return interpolant
+
+    def lu(self, A):
         self.nlu += 1
         if not np.isfinite(A).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -207,7 +293,7 @@ class _Radau(Radau):
         return lu, piv
 
     @staticmethod
-    def _solve_lu(LU, b):
+    def solve_lu(LU, b):
         lu, piv = LU
         if not np.isfinite(b).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -222,7 +308,6 @@ class _Radau(Radau):
         rhs, solve_lu, jac = self._rhs, self.solve_lu, self.jac
         atol, rtol, tol, I = self.atol, self.rtol, self.newton_tol, self.I
         n = y.shape[0]
-        root_n, root_3n = n ** 0.5, (3 * n) ** 0.5     # RMS norm divisors
 
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if self.h_abs > self.max_step:
@@ -289,8 +374,7 @@ class _Radau(Radau):
                     dW[1] = dW_complex.real
                     dW[2] = dW_complex.imag
 
-                    v = (dW / scale).ravel()
-                    dW_norm = np.sqrt(v.dot(v)) / root_3n
+                    dW_norm = _rms((dW / scale).ravel())
                     if dW_norm_old is not None:
                         rate = dW_norm / dW_norm_old
                         if rate >= 1 or rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol:
@@ -309,7 +393,7 @@ class _Radau(Radau):
                 if not converged:
                     if current_jac:
                         break
-                    J = jac(t, y, f)
+                    J = jac(t, y)
                     current_jac = True
                     LU_real = LU_complex = None
 
@@ -322,15 +406,13 @@ class _Radau(Radau):
             ZE = Z.T.dot(_E) / h
             error = solve_lu(LU_real, f + ZE)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            v = error / scale
-            error_norm = np.sqrt(v.dot(v)) / root_n
+            error_norm = _rms(error / scale)
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
 
             if rejected and error_norm > 1:
                 self.nfev += 1
                 error = solve_lu(LU_real, rhs(t, y + error) + ZE)
-                v = error / scale
-                error_norm = np.sqrt(v.dot(v)) / root_n
+                error_norm = _rms(error / scale)
 
             if not error_norm > 1:
                 break
@@ -339,7 +421,7 @@ class _Radau(Radau):
             LU_real = LU_complex = None
             rejected = True
 
-        recompute_jac = jac is not None and n_iter > 2 and rate > 1e-3
+        recompute_jac = n_iter > 2 and rate > 1e-3
 
         factor = min(MAX_FACTOR, safety * _step_factor(h_abs, h_abs_old,
                                                        error_norm, error_norm_old))
@@ -351,24 +433,42 @@ class _Radau(Radau):
         self.nfev += 1
         f_new = rhs(t_new, y_new)
         if recompute_jac:
-            J = jac(t_new, y_new, f_new)
-            current_jac = True
-        elif jac is not None:
-            current_jac = False
+            J = jac(t_new, y_new)
+        current_jac = recompute_jac
 
         self.h_abs_old = self.h_abs
         self.error_norm_old = error_norm
         self.h_abs = h_abs * factor
-        self.y_old = y
+        self.y_old, self.t_old = y, t
         self.t, self.y, self.f = t_new, y_new, f_new
         self.LU_real, self.LU_complex = LU_real, LU_complex
         self.current_jac, self.J = current_jac, J
-        self.t_old = t
         self._Q = np.dot(Z.T, _P)
         return True, None
 
-    def _dense_output_impl(self):
-        return RadauDenseOutput(self.t_old, self.t, self.y_old, self._Q)
+
+class _OdeSolution:
+    """scipy's `OdeSolution` for increasing step points `ts`: a step point
+    takes the earlier step's interpolant; sorted times make one call per step
+    they fall in (this grouping sets the shape of each `dot`, so the last bits)."""
+
+    def __init__(self, ts, interpolants):
+        self.ts, self.interpolants = np.asarray(ts), interpolants
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        last = len(self.interpolants) - 1
+        if t.ndim == 0:
+            return self.interpolants[min(max(np.searchsorted(self.ts, t) - 1, 0), last)](t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        segments = np.minimum(np.maximum(np.searchsorted(self.ts, t_sorted) - 1, 0), last)
+        ys, start = [], 0
+        for segment, group in itertools.groupby(segments):
+            end = start + len(list(group))
+            ys.append(self.interpolants[segment](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, np.argsort(order)]
 
 
 def _step_factor(h_abs, h_abs_old, error_norm, error_norm_old):
@@ -399,9 +499,9 @@ def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
     there and the status is 1.
 
     The loop is `solve_ivp`'s for scipy 1.17.1, keeping only what these
-    runs use: one dense output per step in an `OdeSolution`, the grid
+    runs use: one dense output per step in an `_OdeSolution`, the grid
     values taken from it (each from the step that `solve_ivp` would take
-    it from), and the event root found by the same `brentq` call.  So
+    it from), and the event root found by `_brentq`, scipy's `brentq`.  So
     every value, counter and message is the one `solve_ivp(method=Radau)`
     returns, without its per-step event and output-grid bookkeeping.
     """
@@ -423,8 +523,7 @@ def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
             g_new = stop(t, y)
             if g <= 0 <= g_new:
                 sol = solver.dense_output()
-                t = brentq(lambda s: stop(s, sol(s)), solver.t_old, t,
-                           xtol=4 * EPS, rtol=4 * EPS)
+                t = _brentq(lambda s: stop(s, sol(s)), solver.t_old, t, 4 * EPS, 4 * EPS)
                 y = sol(t)
                 status = 1
             g = g_new
@@ -434,7 +533,7 @@ def _radau(fun, jac, y0: np.ndarray, t_end: float, cfg: IntegratorConfig,
                         message=MESSAGES.get(status, message).strip())
     if grid is None:
         return np.array(ts), _clip_undershoot(y, cfg.atol, where), None, stats
-    dense = OdeSolution(ts, interpolants)
+    dense = _OdeSolution(ts, interpolants)
     t = grid[grid <= ts[-1]]
     return t, _clip_undershoot(dense(t).T.copy(), cfg.atol, where), dense, stats
 

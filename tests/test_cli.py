@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ticsp
 from ticsp import DEFAULT_PARAMETERS, PARAMETER_NAMES
 from ticsp.cli import build_parser, main
 
@@ -126,7 +128,7 @@ def test_bifurcate_locates_transcritical(tmp_path):
     (["--from", 0, "--to", 1, "--log"], "finite and positive for a log scan, got (0.0, 1.0)"),
 ])
 def test_bifurcate_rejects_a_bad_range(argv, message, tmp_path, capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "equilibria.find_hte")
+    calls = count_calls(monkeypatch, "equilibria._find_hte_many")
     out = tmp_path / "bif"
     assert run_cli("bifurcate", "--param", "d", *argv, "--out", out) == 1
     err = capsys.readouterr().err.splitlines()
@@ -344,6 +346,33 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "e" / "equilibria.json").exists()
+
+
+#: Runs the commands given as a JSON list of argv lists, then prints the
+#: loaded modules of the two scipy packages whose pieces ticsp owns.
+_IMPORT_PROBE = """
+import json, sys
+from ticsp.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.integrate", "scipy.optimize")))))
+"""
+
+
+def test_commands_import_neither_scipy_integrate_nor_optimize(tmp_path):
+    # checked after the commands ran, so a lazy import inside one fails too
+    commands = [["report"], ["reduce"], ["threshold", "--bracket", "319000", "320000"],
+                ["bifurcate", "--param", "d", "--from", "0.05", "--to", "1.0"],
+                ["equilibria"]]
+    argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in commands]
+    src = str(Path(ticsp.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert all((tmp_path / argv[0]).is_dir() for argv in commands)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -18,6 +19,7 @@ from ticsp.equilibria import (
     tfe,
     tfe_eigenvalues,
     tfe_stable,
+    _brentq,
     _find_hte_many,
     _hte_grid_residuals,
     _nk_balance,
@@ -200,7 +202,7 @@ def test_bifurcation_scan_rejects_bad_input():
 ])
 def test_bifurcation_scan_rejects_a_bad_range_before_any_equilibrium(value_range, log, need,
                                                                     monkeypatch):
-    calls = count_calls(monkeypatch, "equilibria.find_hte")
+    calls = count_calls(monkeypatch, "equilibria._find_hte_many")
     with pytest.raises(ValueError, match=rf"^value_range ends must be {need}, got "
                                          rf"{re.escape(str(value_range))}$"):
         bifurcation_scan(P, "d", value_range, 10, log=log)
@@ -314,6 +316,67 @@ def test_scan_results_pinned_to_the_last_bit():
     assert scan.transcritical.hex() == "0x1.b952c30ef0ad0p-2"
 
 
+# ---------------------------------------------------------------------------
+# The package's Brent root finder against scipy's brentq
+
+#: The benchmark's 200-step sweeps of d: linear around the transcritical
+#: point, log from the fitted d through the fold.
+BENCH_SWEEPS = {"linear": np.linspace(0.05, 1.0, 200), "log": np.geomspace(2.34, 2000.0, 200)}
+
+
+def _traced(f):
+    """f and the list of the points it is called at."""
+    xs = []
+
+    def traced(x, *args):
+        xs.append(x)
+        return f(x, *args)
+
+    return traced, xs
+
+
+@pytest.mark.parametrize("sweep", sorted(BENCH_SWEEPS))
+def test_brentq_matches_scipy_on_every_hte_bracket_of_the_benchmark_sweeps(sweep):
+    brackets = 0
+    for v in BENCH_SWEEPS[sweep]:
+        q = P.replace(d=float(v))
+        F = _hte_grid_residuals(q)
+        for i in np.flatnonzero((F[:-1] != 0.0) & ((F[:-1] > 0.0) != (F[1:] > 0.0))):
+            a, b = _T_GRID[i], _T_GRID[i + 1]
+            xtol, rtol = 1e-13 * max(1.0, a), 4.0 * np.finfo(float).eps
+            ours, ours_xs = _traced(hte_residual)
+            ref, ref_xs = _traced(hte_residual)
+            root = _brentq(lambda T: ours(T, q), a, b, xtol, rtol)
+            assert root.hex() == brentq(ref, a, b, args=(q,), xtol=xtol, rtol=rtol).hex()
+            assert ours_xs == ref_xs
+            brackets += 1
+    assert brackets == {"linear": 320, "log": 360}[sweep]
+
+
+def test_brentq_matches_scipy_on_the_transcritical_margin():
+    values = BENCH_SWEEPS["linear"]
+    margins = [equilibria._tfe_margin(P.replace(d=float(v))) for v in values]
+    i = next(i for i in range(len(values) - 1) if margins[i] * margins[i + 1] < 0.0)
+    ours, ours_xs = _traced(lambda v: equilibria._tfe_margin(P.replace(d=v)))
+    ref, ref_xs = _traced(lambda v: equilibria._tfe_margin(P.replace(d=v)))
+    root = _brentq(ours, values[i], values[i + 1], 2e-12, 1e-12)
+    assert root.hex() == brentq(ref, values[i], values[i + 1], rtol=1e-12).hex()
+    assert ours_xs == ref_xs
+    assert bifurcation_scan(P, "d", (0.05, 1.0), 200).transcritical == root
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x * x + 1.0, -1.0, 1.0),                          # same sign at both ends
+    (lambda x: math.nan if x > 0.5 else x - 0.25, -1.0, 1.0),    # NaN at an end
+    (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, -1.0, 2.0),  # NaN at an iterate
+], ids=["same-sign", "nan-at-end", "nan-inside"])
+def test_brentq_raises_what_scipy_raises(f, a, b):
+    with pytest.raises(ValueError) as ref:
+        brentq(f, a, b)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+        _brentq(f, a, b, 2e-12, 4.0 * np.finfo(float).eps)
+
+
 def test_find_hte_many_keeps_each_states_own_eigenvalue_dtype():
     # at g = 0.783 one state has complex eigenvalues; its stacked call still
     # hands the others the real arrays their own calls return
@@ -415,5 +478,5 @@ def test_bifurcation_scan_builds_one_parameter_set_per_value(monkeypatch):
     scan = bifurcation_scan(P, "d", (0.05, 1.0), 40)
     swept = [float(v) for v in scan.values]
     assert replaced[:len(swept)] == swept
-    # the rest are the transcritical refinement's brentq evaluations
+    # the rest are the transcritical refinement's _brentq evaluations
     assert len(replaced) - len(swept) < 20

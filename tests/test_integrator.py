@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 from scipy.integrate import Radau, solve_ivp
+from scipy.integrate._ivp import common as scipy_common
+from scipy.integrate._ivp import ivp as scipy_ivp
 from scipy.integrate._ivp import radau as scipy_radau
 from scipy.linalg import LinAlgWarning
 
@@ -129,7 +131,24 @@ def test_initial_state_requires_positive_tumor():
 
 
 # ---------------------------------------------------------------------------
-# The Radau subclass against scipy's stock Radau
+# The owned Radau solver against scipy's stock Radau
+
+@pytest.mark.parametrize("ours, name", [
+    ("_C", "C"), ("_E", "E"), ("_T", "T"), ("_TI", "TI"), ("_P", "P"),
+    *((name, name) for name in ("MU_REAL", "MU_COMPLEX", "TI_REAL", "TI_COMPLEX",
+                                "NEWTON_MAXITER", "MIN_FACTOR", "MAX_FACTOR")),
+])
+def test_radau_constants_are_scipys(ours, name):
+    ours, ref = getattr(integrator, ours), getattr(scipy_radau, name)
+    assert type(ours) is type(ref)
+    assert np.asarray(ours).dtype == np.asarray(ref).dtype
+    assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_solver_messages_and_eps_are_scipys():
+    assert integrator.MESSAGES == scipy_ivp.MESSAGES
+    assert integrator.EPS.tobytes() == scipy_common.EPS.tobytes()
+
 
 def _solver_records():
     """Every `_radau` caller once: the four reference runs, endpoint settle
@@ -158,10 +177,10 @@ def _solver_records():
 
 @pytest.fixture(scope="module")
 def fast_and_stock():
-    """Records from `_Radau` (counting calls into its LU overrides) and from
-    scipy's stock Radau on the same call sites."""
+    """Records from `_Radau` (counting calls into its LAPACK LU methods) and
+    from scipy's stock Radau on the same call sites."""
     calls = {"lu": 0, "solve_lu": 0}
-    lu, solve_lu = _Radau._lu, _Radau._solve_lu
+    lu, solve_lu = _Radau.lu, _Radau.solve_lu
 
     def counted_lu(self, A):
         calls["lu"] += 1
@@ -172,8 +191,8 @@ def fast_and_stock():
         return solve_lu(LU, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Radau, "_lu", counted_lu)
-        mp.setattr(_Radau, "_solve_lu", staticmethod(counted_solve_lu))
+        mp.setattr(_Radau, "lu", counted_lu)
+        mp.setattr(_Radau, "solve_lu", staticmethod(counted_solve_lu))
         fast = _solver_records()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_Radau", Radau)
@@ -193,8 +212,7 @@ def test_radau_subclass_is_bit_identical_to_stock(fast_and_stock):
 
 
 def test_radau_subclass_lu_overrides_are_live(fast_and_stock):
-    # a scipy release that renames `lu`/`solve_lu` must fail here, not
-    # silently fall back to the stock wrappers
+    # every LU counted in nlu is one of the class's own LAPACK calls
     fast, _, calls = fast_and_stock
     assert calls["lu"] == sum(rec["counters"][3] for rec in fast.values()) > 0
     assert calls["solve_lu"] > calls["lu"]
@@ -230,22 +248,6 @@ TOY_SYSTEMS = {
     "decay": (lambda t, y: -y, lambda t, y: -np.eye(3), (0.0, 10.0), [1.0, 2.0, 3.0],
               {"max_step": 0.5}),
 }
-
-
-@pytest.mark.parametrize("name", sorted(TOY_SYSTEMS))
-def test_radau_subclass_matches_stock_on_toy_systems(name):
-    fun, jac, span, y0, options = TOY_SYSTEMS[name]
-    fast, stock = (solve_ivp(fun, span, np.array(y0), method=method, jac=jac,
-                             dense_output=True, **options)
-                   for method in (_Radau, Radau))
-    assert fast.status == (-1 if name == "blow-up" else 0)
-    assert (fast.status, fast.nfev, fast.njev, fast.nlu) == \
-        (stock.status, stock.nfev, stock.njev, stock.nlu)
-    assert fast.t.tobytes() == stock.t.tobytes()
-    assert fast.y.tobytes() == stock.y.tobytes()
-    assert fast.sol.ts.tobytes() == stock.sol.ts.tobytes()
-    t = np.linspace(fast.t[0], fast.t[-1], 1001)
-    assert fast.sol(t).tobytes() == stock.sol(t).tobytes()
 
 
 def _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, grid=None, stop=None, **options):
@@ -286,6 +288,26 @@ def test_radau_driver_matches_solve_ivp_on_the_reference_cases(name):
 
 
 @pytest.mark.parametrize("name", sorted(TOY_SYSTEMS))
+def test_radau_subclass_matches_stock_on_toy_systems(name):
+    # endpoint-only runs: the step points, the state at every step (seen by
+    # a `stop` that never fires), the final state and the counters
+    fun, jac, (_, t_end), y0, options = TOY_SYSTEMS[name]
+    options = dict(options)
+    cfg = IntegratorConfig(rtol=options.pop("rtol", 1e-3), t_end=t_end)
+    seen = []
+
+    def stop(t, y):
+        seen.append(y.copy())
+        return -1.0
+
+    ours, ref = _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, stop=stop, **options)
+    assert ours[3].status == ref.status == (-1 if name == "blow-up" else 0)
+    _assert_same_run(ours, ref, len(ref.t) - 1)
+    states = np.array(seen[:len(ref.t)])  # ours first, then solve_ivp's
+    assert states.tobytes() == ref.y.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TOY_SYSTEMS))
 def test_radau_driver_matches_solve_ivp_on_toy_systems(name):
     fun, jac, (_, t_end), y0, options = TOY_SYSTEMS[name]
     options = dict(options)
@@ -317,9 +339,8 @@ def test_radau_driver_matches_solve_ivp_on_terminal_settle_runs(T0, rtol, attrac
 
 
 def test_radau_subclass_step_is_live(monkeypatch):
-    # scipy's step helpers are never reached, and scipy still calls
-    # `_step_impl`: a release that renames it must fail here, not silently
-    # fall back to the stock step
+    # scipy's step helpers are never reached, and every step is a call of
+    # the class's own `_step_impl`
     def forbidden(*args, **kwargs):
         raise AssertionError("stock Radau step helper called")
 
@@ -345,7 +366,7 @@ def test_radau_subclass_integrates_forward_only():
 
 
 def test_radau_subclass_keeps_the_lu_checks():
-    solver = _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0)
+    solver = _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
     nlu = solver.nlu
     with pytest.raises(ValueError, match="infs or NaNs"):
         solver.lu(np.array([[1.0, np.nan], [0.0, 1.0]]))
