@@ -1,0 +1,32 @@
+"""The byte-identical set (ROADMAP's re-baselining rule) matches the
+committed manifest: every CLI artifact and every demo's stdout, bit for bit.
+
+A change that re-baselines on purpose rewrites the manifest with
+`PYTHONPATH=src python tests/golden_manifest.py` and names each changed entry.
+"""
+from golden_manifest import (
+    describe_change,
+    fresh_texts,
+    load_manifest,
+    load_reference,
+    sha256,
+    versions,
+)
+
+
+def test_reference_texts_are_the_manifests():
+    manifest = load_manifest()
+    assert {name: sha256(text) for name, text in load_reference().items()} \
+        == manifest["sha256"]
+
+
+def test_byte_identical_set_matches_the_manifest(tmp_path):
+    manifest = load_manifest()
+    texts = fresh_texts(tmp_path)
+    assert sorted(texts) == sorted(manifest["sha256"])
+    reference = load_reference()
+    changed = [describe_change(name, reference[name], text)
+               for name, text in texts.items() if sha256(text) != manifest["sha256"][name]]
+    made_with = {key: manifest[key] for key in versions()}
+    assert not changed, (f"manifest made with {made_with}, this run has {versions()}:\n"
+                         + "\n".join(changed))
