@@ -1,10 +1,12 @@
 """Timescale decomposition and mode-projection diagnostics.
 
-Each state's Jacobian is split into dynamical modes (leading-order
-basis: right eigenvectors as columns, left basis by matrix inversion so
-biorthonormality is exact).  Modes are sorted fastest-first by
-timescale tau = 1/|lambda|; complex-conjugate eigenpairs become two
-real basis vectors (real and imaginary parts) sharing one timescale.
+The Jacobians of a stack of states are split into dynamical modes with
+one eigen-solve and one inversion (leading-order basis: right
+eigenvectors as columns, left basis by matrix inversion so
+biorthonormality is exact); one state is a stack of one.  Modes are
+sorted fastest-first by timescale tau = 1/|lambda|; complex-conjugate
+eigenpairs become two real basis vectors (real and imaginary parts)
+sharing one timescale.
 
 Four per-mode projection tables quantify how the 15 kinetic processes
 and 4 populations participate in each mode:
@@ -18,6 +20,9 @@ and 4 populations participate in each mode:
 * slow importance: share of process k in the slow (modes > M) part of
   each variable's time derivative.
 
+`diagnostics_records` gives all four at several trajectory times from one
+stacked decomposition.
+
 Also: exhausted-mode counting (how many fast dissipative modes have
 damped out at the local tolerance) and detection of the explosive stage
 (the interval where the Jacobian has an eigenvalue with positive real
@@ -25,15 +30,15 @@ part).  Modes are always read in tau-sorted order.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .integrator import Trajectory, _bisect, dense_states, evaluate_dense
 from .kinetics import (
-    STOICHIOMETRY, ProcessSet, State, floor_state, jacobian_batch, process_rates,
+    N_PROCESSES, STOICHIOMETRY, ProcessSet, State, floor_state, jacobian_batch,
+    process_rates,
 )
 from .params import ParameterSet
 
@@ -41,7 +46,7 @@ __all__ = [
     "DecompositionError", "ModeDecomposition", "DiagnosticsRecord",
     "ExplosiveStage", "decompose", "api", "tpi", "pointer", "importance",
     "exhausted_count", "explosive_stage", "diagnostics_record",
-    "mode_eigenvalues",
+    "diagnostics_records", "mode_eigenvalues",
 ]
 
 _COND_LIMIT = 1e12
@@ -75,17 +80,6 @@ class ModeDecomposition:
     explosive: np.ndarray            # (4,) bool, Re lambda > 0
     complex_pair: tuple              # per-mode partner index or None
 
-    def mode_sign_flipped(self, n: int) -> "ModeDecomposition":
-        """Copy with mode n's (alpha_n, beta^n, f^n) all negated.
-
-        Index tables are invariant except for the row sign of API/TPI;
-        biorthonormality is preserved exactly.
-        """
-        alpha = self.alpha.copy(); alpha[:, n] *= -1.0
-        beta = self.beta.copy(); beta[n, :] *= -1.0
-        amp = self.amplitudes.copy(); amp[n] *= -1.0
-        return dataclasses.replace(self, alpha=alpha, beta=beta, amplitudes=amp)
-
 
 @dataclass(frozen=True)
 class ExplosiveStage:
@@ -114,13 +108,13 @@ class DiagnosticsRecord:
     decomposition: ModeDecomposition
 
 
-def _pair_up(w: np.ndarray, V: np.ndarray):
-    """Sort modes fastest-first and convert conjugate pairs to real vectors.
-
-    Works on stacks: eigenvalues w (n, 4) and right eigenvectors V
-    (n, 4, 4) as columns.  Returns the sorted eigenvalues, the real right
-    bases and each mode's conjugate partner (-1 for a real mode).
-    """
+def _real_modes(J: np.ndarray):
+    """Modes of a stack of Jacobians J (n, 4, 4), fastest first: the sorted
+    eigenvalues, the real right bases as columns (a conjugate pair as its
+    real and imaginary parts) and each mode's conjugate partner (-1 for a
+    real mode).  Refuses near-defective eigenbases (condition number above
+    `_COND_LIMIT`)."""
+    w, V = np.linalg.eig(J)
     # descending |lambda| (ascending tau); ties: dissipative before explosive
     order = np.lexsort((w.real >= 0.0, -np.abs(w)))
     w = np.take_along_axis(w, order, axis=-1)
@@ -148,13 +142,6 @@ def _pair_up(w: np.ndarray, V: np.ndarray):
         lam[rows, i + 1] = np.conj(w[rows, lead])
         partner[rows, i], partner[rows, i + 1] = i + 1, i
         second[rows] = True
-    return lam, alpha, partner
-
-
-def _real_modes(J: np.ndarray):
-    """`_pair_up` of a stack of Jacobians (n, 4, 4), refusing near-defective
-    eigenbases (condition number above `_COND_LIMIT`)."""
-    lam, alpha, partner = _pair_up(*np.linalg.eig(J))
     cond = np.linalg.cond(alpha)
     if np.any(cond > _COND_LIMIT):
         raise DecompositionError(
@@ -182,38 +169,41 @@ def mode_eigenvalues(Y, params: ParameterSet) -> np.ndarray:
 
 
 def decompose(state: State, params: ParameterSet) -> ModeDecomposition:
-    """Eigenmode decomposition of the Jacobian at one state.
-
-    The left basis is the matrix inverse of the right-eigenvector
-    column matrix, making biorthonormality exact by construction.  The
-    sign of each mode (alpha_n, beta^n, f^n jointly) is fixed so the
-    mode's largest-magnitude amplitude-participation entry is positive.
-    """
-    return _decompose(state, process_rates(state, params))
+    """Eigenmode decomposition at one state: `_decompose` of a stack of one."""
+    return _decompose([state], [process_rates(state, params)])[0]
 
 
-def _decompose(state: State, ps: ProcessSet) -> ModeDecomposition:
-    """`decompose` from the state's rates and gradients: J = S G, f = S R."""
-    lam, alpha, partner = (a[0] for a in _real_modes((STOICHIOMETRY @ ps.gradients)[None]))
+def _decompose(states: Sequence[State],
+               process_sets: Sequence[ProcessSet]) -> list[ModeDecomposition]:
+    """Decompositions of a stack of states from their rates and gradients
+    (J = S G, f = S R).  Each mode's sign (alpha_n, beta^n, f^n jointly)
+    makes its largest-magnitude amplitude-participation entry positive:
+    the mode is multiplied by -1.0 or 1.0, both exact."""
+    G = np.reshape([ps.gradients for ps in process_sets], (-1, N_PROCESSES, 4))
+    R = np.reshape([ps.rates for ps in process_sets], (-1, N_PROCESSES))
+    lam, alpha, partner = _real_modes(STOICHIOMETRY @ G)
     beta = np.linalg.inv(alpha)
-    amplitudes = beta @ (STOICHIOMETRY @ ps.rates)
+    amplitudes = (beta @ (STOICHIOMETRY @ R[..., None]))[..., 0]
 
-    dec = ModeDecomposition(
-        state=state,
-        eigenvalues=lam,
-        alpha=alpha,
-        beta=beta,
-        timescales=1.0 / np.abs(lam),
-        amplitudes=amplitudes,
-        explosive=lam.real > 0.0,
-        complex_pair=tuple(None if j < 0 else int(j) for j in partner),
-    )
-    terms = (beta @ STOICHIOMETRY) * ps.rates[None, :]
-    for n in range(4):
-        k_dom = int(np.argmax(np.abs(terms[n])))
-        if terms[n, k_dom] < 0.0:
-            dec = dec.mode_sign_flipped(n)
-    return dec
+    terms = (beta @ STOICHIOMETRY) * R[:, None, :]           # (n, mode, process)
+    k_dom = np.argmax(np.abs(terms), axis=-1)[..., None]
+    sign = np.where(np.take_along_axis(terms, k_dom, -1)[..., 0] < 0.0, -1.0, 1.0)
+    alpha = alpha * sign[:, None, :]
+    beta = beta * sign[:, :, None]
+    amplitudes = amplitudes * sign
+    return [
+        ModeDecomposition(
+            state=state,
+            eigenvalues=lam[i],
+            alpha=alpha[i],
+            beta=beta[i],
+            timescales=1.0 / np.abs(lam[i]),
+            amplitudes=amplitudes[i],
+            explosive=lam[i].real > 0.0,
+            complex_pair=tuple(None if j < 0 else int(j) for j in partner[i]),
+        )
+        for i, state in enumerate(states)
+    ]
 
 
 def _normalize_rows(num: np.ndarray) -> np.ndarray:
@@ -282,19 +272,15 @@ def importance(decomp: ModeDecomposition, M: int, processes) -> np.ndarray:
     return _normalize_rows(num)
 
 
-def exhausted_count(decomp: ModeDecomposition, fixed: Optional[int] = None) -> int:
+def exhausted_count(decomp: ModeDecomposition) -> int:
     """Number of fast dissipative modes already damped to local tolerance.
 
     Largest M such that modes 1..M are dissipative and each of their
     contributions to every variable of `decomp.state`, integrated over
     the next-slowest timescale, stays under rtol*|y_i| + atol
     (`_EXHAUST_RTOL`, `_EXHAUST_ATOL`).  A complex pair is never split
-    across the fast/slow boundary.  `fixed` overrides the count.
+    across the fast/slow boundary (`diagnostics_records` can fix M instead).
     """
-    if fixed is not None:
-        if not 0 <= fixed < 4:
-            raise ValueError(f"fixed M must be in [0, 4), got {fixed}")
-        return int(fixed)
     bound = _EXHAUST_RTOL * np.abs(decomp.state.array()) + _EXHAUST_ATOL
     contrib = np.abs(decomp.alpha * decomp.amplitudes[None, :])  # [i, r]
     for M in (3, 2, 1):
@@ -361,21 +347,35 @@ def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[Explosiv
     return ExplosiveStage(start=start, end=end, mode_index=mode_index)
 
 
+def diagnostics_records(states: Sequence[State], params: ParameterSet,
+                        fracs: Sequence[float],
+                        fixed_M: Optional[int] = None) -> list[DiagnosticsRecord]:
+    """All four index tables at each state, from one stacked decomposition.
+
+    `fracs` gives each record's t/t_exp.  M is each state's exhausted-mode
+    count, or `fixed_M` for every record when it is given.
+    """
+    if fixed_M is not None and not 0 <= fixed_M < 4:
+        raise ValueError(f"fixed M must be in [0, 4), got {fixed_M}")
+    process_sets = [process_rates(state, params) for state in states]
+    records = []
+    for dec, ps, frac in zip(_decompose(states, process_sets), process_sets, fracs):
+        M = exhausted_count(dec) if fixed_M is None else int(fixed_M)
+        records.append(DiagnosticsRecord(
+            time=dec.state.t,
+            t_over_texp=float(frac),
+            M=M,
+            api=api(dec, ps),
+            tpi=tpi(dec, ps),
+            pointer=pointer(dec),
+            importance=importance(dec, M, ps),
+            decomposition=dec,
+        ))
+    return records
+
+
 def diagnostics_record(state: State, params: ParameterSet,
                        t_over_texp: float = np.nan,
                        fixed_M: Optional[int] = None) -> DiagnosticsRecord:
-    """All four index tables at one state, with M from the exhausted-mode
-    count unless overridden."""
-    ps = process_rates(state, params)
-    dec = _decompose(state, ps)
-    M = exhausted_count(dec, fixed=fixed_M)
-    return DiagnosticsRecord(
-        time=state.t,
-        t_over_texp=float(t_over_texp),
-        M=M,
-        api=api(dec, ps),
-        tpi=tpi(dec, ps),
-        pointer=pointer(dec),
-        importance=importance(dec, M, ps),
-        decomposition=dec,
-    )
+    """All four index tables at one state: `diagnostics_records` of one."""
+    return diagnostics_records([state], params, [t_over_texp], fixed_M)[0]

@@ -17,7 +17,7 @@ import numpy as np
 from .csp import (
     DiagnosticsRecord,
     ExplosiveStage,
-    diagnostics_record,
+    diagnostics_records,
     explosive_stage,
     mode_eigenvalues,
 )
@@ -228,9 +228,8 @@ def run_scenario(scenario: Scenario | str,
                 raise ValueError(
                     f"checkpoint {frac!r} x t_exp = {frac * stage.t_exp:.6g} days is "
                     f"past the run's end at t = {traj.t[-1]:.6g} days")
-        for frac in checkpoints:
-            s = evaluate_dense(traj, frac * stage.t_exp)
-            records.append(diagnostics_record(s, p, t_over_texp=frac, fixed_M=fixed_M))
+        states = [evaluate_dense(traj, frac * stage.t_exp) for frac in checkpoints]
+        records = diagnostics_records(states, p, checkpoints, fixed_M)
 
     equilibria = (tfe(p)[0], *find_hte(p))
     targets = [eq for eq in equilibria if eq.stable]
@@ -431,11 +430,10 @@ def ii_persistence(result: ScenarioResult) -> dict[str, tuple[int, ...]]:
     """
     if result.stage is None:
         return {var: () for var in VARIABLES}
-    counts = np.zeros((4, 15), dtype=int)
-    for frac in PERSISTENCE_FRACTIONS:
-        s = evaluate_dense(result.trajectory, frac * result.stage.t_exp)
-        rec = diagnostics_record(s, result.params, t_over_texp=frac)
-        counts += np.abs(rec.importance) > _II_THRESHOLD
+    states = [evaluate_dense(result.trajectory, frac * result.stage.t_exp)
+              for frac in PERSISTENCE_FRACTIONS]
+    records = diagnostics_records(states, result.params, PERSISTENCE_FRACTIONS)
+    counts = sum(np.abs(rec.importance) > _II_THRESHOLD for rec in records)
     need = _II_MIN_FRACTION * len(PERSISTENCE_FRACTIONS)
     return {
         var: tuple(int(k + 1) for k in range(15) if counts[i, k] > need)

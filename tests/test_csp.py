@@ -1,5 +1,6 @@
 """Mode decomposition, participation indices, explosive stage."""
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ticsp.csp import (
     api,
     decompose,
     diagnostics_record,
+    diagnostics_records,
     exhausted_count,
     explosive_stage,
     importance,
@@ -167,7 +169,9 @@ def test_importance_rejects_bad_m():
 def test_sign_flip_invariance():
     d = decompose(TP0, P)
     ps = process_rates(TP0, P)
-    flipped = d.mode_sign_flipped(2)
+    sign = np.array([1.0, 1.0, -1.0, 1.0])   # mode 3's alpha, beta and f negated
+    flipped = dataclasses.replace(d, alpha=d.alpha * sign, beta=d.beta * sign[:, None],
+                                  amplitudes=d.amplitudes * sign)
     assert np.allclose(pointer(flipped), pointer(d), atol=1e-14)
     assert np.allclose(api(flipped, ps)[2], -api(d, ps)[2], atol=1e-14)
     # TPI is quadratic in the mode sign (alpha and beta flip together),
@@ -197,10 +201,9 @@ def test_exhausted_progression(tp_traj, tp_stage):
 
 
 def test_exhausted_fixed_override():
-    d = decompose(TP0, P)
-    assert exhausted_count(d, fixed=1) == 1
-    with pytest.raises(ValueError):
-        exhausted_count(d, fixed=4)
+    assert diagnostics_record(TP0, P, fixed_M=1).M == 1
+    with pytest.raises(ValueError, match=r"fixed M must be in \[0, 4\), got 4"):
+        diagnostics_record(TP0, P, fixed_M=4)
 
 
 def test_exhausted_never_splits_pair(monkeypatch):
@@ -337,6 +340,35 @@ def test_decomposition_from_rates_is_the_kinetics_bit_for_bit():
         ps = process_rates(s, P)
         assert np.array_equal(STOICHIOMETRY @ ps.gradients, jacobian_array(s.array(), P))
         assert np.array_equal(STOICHIOMETRY @ ps.rates, rhs_array(s.array(), P))
+
+
+# sha256 over the bytes of every field of `diagnostics_record` on 400 seeded
+# states and the two complex-pair states (52 of them with a pair), recorded
+# while each record had its own one-state decomposition (frozen).
+RECORD_DIGEST = "ea505ceb2df4fd474b8cc689e8a1ebe2c9108a580f32ced4dff8eb63b9bb7cdd"
+
+
+def _record_digest(records):
+    h = hashlib.sha256()
+    for rec in records:
+        d = rec.decomposition
+        pairs = [-1 if j is None else j for j in d.complex_pair]
+        for field in (rec.api, rec.tpi, rec.pointer, rec.importance, rec.M, d.eigenvalues,
+                      d.alpha, d.beta, d.amplitudes, pairs):
+            h.update(np.asarray(field).tobytes())
+    return h.hexdigest()
+
+
+def test_records_are_pinned_to_the_last_bit():
+    states = random_states(400) + [PAIR_FAST, PAIR_MID]
+    assert _record_digest(diagnostics_record(s, P) for s in states) == RECORD_DIGEST
+    stacked = diagnostics_records(states, P, [np.nan] * len(states))
+    assert _record_digest(stacked) == RECORD_DIGEST
+
+
+def test_no_states_no_records():
+    # the simulate and reduce path: run_scenario with checkpoints=()
+    assert diagnostics_records([], P, []) == []
 
 
 def test_tp_late_stage_explosive_mode(tp_traj, tp_stage):

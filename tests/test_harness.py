@@ -174,6 +174,18 @@ def test_stage_and_equilibria_computed_once(monkeypatch):
     assert calls == {"csp.explosive_stage": 1, "equilibria.find_hte": 1}
 
 
+def test_records_and_persistence_take_one_eigen_solve_each(scenario_results, monkeypatch):
+    # One stacked decomposition per set of records: a run makes one for the
+    # stage's mode index, one for its four checkpoint records and one for
+    # its timescale table, and a report's 33 persistence samples make one.
+    calls = count_calls(monkeypatch, "csp._real_modes")
+    assert len(run_scenario("TP").records) == 4
+    assert calls["csp._real_modes"] == 3
+    calls.clear()
+    ii_persistence(scenario_results["TP"])
+    assert calls["csp._real_modes"] == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
 def test_bad_checkpoint_fails_before_the_run(bad, monkeypatch):
     calls = count_calls(monkeypatch, "integrator.integrate")

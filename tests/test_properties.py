@@ -1,4 +1,6 @@
 """Property-based invariants over the feasible state space (hypothesis)."""
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,7 +75,9 @@ def test_index_rows_are_normalized(state):
 @settings(**COMMON)
 def test_observables_invariant_under_mode_sign_flip(state, mode):
     dec = decompose(state, P)
-    flipped = dec.mode_sign_flipped(mode)
+    sign = np.where(np.arange(4) == mode, -1.0, 1.0)   # the mode's alpha, beta and f negated
+    flipped = dataclasses.replace(dec, alpha=dec.alpha * sign, beta=dec.beta * sign[:, None],
+                                  amplitudes=dec.amplitudes * sign)
     ps = process_rates(state, P)
     # participation rows change sign with the mode; the physically
     # observable pointer and timescale-participation rows do not
