@@ -134,7 +134,7 @@ def describe_change(name: str, old: str, new: str) -> str:
 def rewrite() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         texts = fresh_texts(Path(tmp))
-    old = load_reference() if REFERENCE.exists() else texts
+    old = load_reference()
     for name in sorted(set(old) | set(texts)):
         if name not in texts:
             print(f"{name}: removed")
@@ -142,7 +142,6 @@ def rewrite() -> int:
             print(f"{name}: new")
         elif old[name] != texts[name]:
             print(describe_change(name, old[name], texts[name]))
-    GOLDEN.mkdir(exist_ok=True)
     manifest = {**versions(), "sha256": {name: sha256(t) for name, t in sorted(texts.items())}}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
     REFERENCE.write_bytes(lzma.compress(json.dumps(texts, sort_keys=True).encode(), preset=9))
