@@ -12,14 +12,15 @@ Radau driver, `_radau`: a loop over the steps of the solver class
 `_Radau`, with `solve_ivp`'s dense-output, output-grid and terminal-event
 semantics and none of its per-step bookkeeping.  `_Radau`, its dense
 output and the event root finder are lean copies of scipy 1.17.1's
-Radau, `OdeSolution` and `brentq` (so no command imports
-`scipy.integrate` or `scipy.optimize`), with LU factor and solve calling
-LAPACK through `scipy.linalg`.  On these 4x4 systems scipy's per-call
-wrappers cost more than the arithmetic, and they are what it drops;
-driver and step keep every floating-point operation and its order, so
-steps, counters and dense output stay bit-identical to the stock
-`solve_ivp(method=Radau)`, which the tests use as the oracle.  The full
-model's right-hand side is one kinetics call, `floored_rhs`.
+Radau, `OdeSolution` and `brentq`, so no command imports scipy: each
+solve with the Radau iteration matrix is numpy's own LAPACK gesv (getrf
+then getrs), which returns scipy's `lu_factor`/`lu_solve` bits.  On these
+4x4 systems scipy's per-call wrappers cost more than the arithmetic, and
+they are what it drops; driver and step keep every floating-point
+operation and its order, so steps, counters and dense output stay
+bit-identical to the stock `solve_ivp(method=Radau)`, which the tests use
+as the oracle.  The full model's right-hand side is one kinetics call,
+`floored_rhs`.
 
 Also provides the basin-of-attraction bisection on the initial tumor
 burden: runs are classified by which stable equilibrium they settle to,
@@ -30,6 +31,7 @@ tolerance confirm it.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import logging
 import math
@@ -38,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs
+from numpy.linalg._umath_linalg import slogdet as _slogdet, solve1 as _gesv
 
 from .equilibria import Equilibrium, _brentq, find_hte, tfe
 from .kinetics import (
@@ -49,7 +51,7 @@ from .params import ParameterSet
 __all__ = [
     "IntegratorConfig", "SolverStats", "Trajectory", "IntegrationError",
     "integrate", "evaluate_dense", "dense_states", "basin_threshold",
-    "stable_equilibria", "classify_attractor", "settle_attractor",
+    "stable_equilibria", "classify_attractor", "settle_attractor", "LinAlgWarning",
 ]
 
 _LOGGER = logging.getLogger("ticsp")
@@ -57,6 +59,10 @@ _LOG_START = 1e-4
 _LOG_UNTIL = 5.0
 _N_LOG = 61
 _N_LINEAR = 196
+
+
+class LinAlgWarning(RuntimeWarning):
+    """An exactly singular Radau iteration matrix (as scipy's class of this name)."""
 
 
 class IntegrationError(RuntimeError):
@@ -179,11 +185,6 @@ EPS = np.finfo(float).eps
 MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
             1: "A termination event occurred."}
 
-# LAPACK's LU factor and solve for the real and the complex Radau IIA
-# iteration matrices, resolved once instead of on every call.
-_DGETRF, _DGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
-_ZGETRF, _ZGETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
-
 
 def _rms(v):
     """The RMS norm, scipy's `np.linalg.norm(v) / v.size ** 0.5`."""
@@ -192,7 +193,7 @@ def _rms(v):
 
 class _Radau:
     """scipy 1.17.1's Radau IIA solver for real states, a callable Jacobian
-    and forward runs, with a lean step and direct LAPACK calls.
+    and forward runs, with a lean step and numpy's LAPACK gesv.
 
     `__init__` does what scipy's `OdeSolver` and `Radau` inits do here (the
     checks on y0, rtol, atol and max_step, f0 and `select_initial_step`,
@@ -207,9 +208,12 @@ class _Radau:
     in `cumprod`'s order.  So steps, counters and dense values are the stock
     solver's bit for bit.  What it drops is per-call overhead: the RHS
     wrapper (`fun` must return a float array of shape (n,)), a dense-output
-    object per step, `np.errstate` and the wrappers of `lu_factor` and
-    `lu_solve`, whose LAPACK getrf/getrs calls and checks (non-finite input,
-    illegal argument, singular matrix) `lu` and `solve_lu` make directly.
+    object per step, `np.errstate`, and scipy's `lu_factor`/`lu_solve` with
+    their checks.  `lu` keeps the iteration matrix and its checks (non-finite
+    input, singular matrix); `solve_lu` is numpy's gesv gufunc, the same
+    getrf and getrs, which re-factors the 4x4 matrix with each solve.
+    Finiteness is tested on Python floats, a list pass being cheaper here
+    than `np.isfinite`.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -280,28 +284,22 @@ class _Radau:
         return interpolant
 
     def lu(self, A):
+        """A itself, for `solve_lu`.  An exactly singular A (a zero pivot
+        of getrf, where slogdet's sign is 0) warns and comes back as NaN, so
+        its solves are NaN without gesv's singular-matrix error."""
         self.nlu += 1
-        if not np.isfinite(A).all():
+        if not all(map(cmath.isfinite, A.ravel().tolist())):
             raise ValueError("array must not contain infs or NaNs")
-        getrf = _ZGETRF if A.dtype.kind == "c" else _DGETRF
-        lu, piv, info = getrf(A, overwrite_a=True)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal getrf")
-        if info > 0:
-            warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                          LinAlgWarning, stacklevel=2)
-        return lu, piv
+        if _slogdet(A)[0] == 0:
+            warnings.warn("A pivot is exactly zero. Singular matrix.", LinAlgWarning, stacklevel=2)
+            return np.full_like(A, np.nan)
+        return A
 
     @staticmethod
-    def solve_lu(LU, b):
-        lu, piv = LU
-        if not np.isfinite(b).all():
+    def solve_lu(A, b):
+        if not all(map(cmath.isfinite, b.tolist())):
             raise ValueError("array must not contain infs or NaNs")
-        getrs = _ZGETRS if lu.dtype.kind == "c" else _DGETRS  # b is of the same kind
-        x, info = getrs(lu, piv, b, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-        return x
+        return _gesv(A, b)
 
     def _step_impl(self):
         t, y, f = self.t, self.y, self.f
@@ -364,7 +362,7 @@ class _Radau:
                     F[1] = rhs(t + ch[1], y + Z[1])
                     F[2] = rhs(t + ch[2], y + Z[2])
                     self.nfev += 3
-                    if not np.isfinite(F).all():
+                    if not all(map(math.isfinite, F.ravel().tolist())):
                         break
 
                     f_real = F.T.dot(TI_REAL) - M_real * W[0]

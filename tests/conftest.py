@@ -1,4 +1,11 @@
 """Session-scoped bundles shared by the harness and acceptance suites."""
+import os
+
+# scipy, the bit-identity oracle, gives thread-dependent bits in its complex
+# LU solve (zgetrs); its OpenBLAS reads this when scipy.linalg first loads,
+# which is after this line, since ticsp itself never imports scipy.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import pytest
 
 from ticsp.harness import (

@@ -8,9 +8,10 @@ rewrite both from the current source:
 
     PYTHONPATH=src python tests/golden_manifest.py
 
-The set is always generated in a fresh process with one OpenBLAS thread
-(`fresh_texts`): the dense trajectory reads group many times into one BLAS
-product, whose last bits depend on how many threads share it.
+The set is generated in a fresh process (`fresh_texts`), with one OpenBLAS
+thread unless told otherwise: the tests check that two threads give the
+same bytes.  (scipy's complex LU solve, zgetrs, gave different last bits
+at two threads; the Radau step's solves are numpy's gesv, which does not.)
 
 It prints every entry that changed, with its number of changed rows and the
 largest |delta| / max(|y|, 1), the measure ROADMAP's re-baselining rule asks
@@ -77,10 +78,10 @@ def generate(root: Path) -> dict[str, str]:
     return texts
 
 
-def fresh_texts(root: Path) -> dict[str, str]:
-    """`generate(root)` in a new interpreter with OPENBLAS_NUM_THREADS=1,
-    on the ticsp this process imports."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+def fresh_texts(root: Path, threads: int = 1) -> dict[str, str]:
+    """`generate(root)` in a new interpreter with OPENBLAS_NUM_THREADS set
+    to `threads`, on the ticsp this process imports."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     src = str(Path(ticsp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, __file__, "--generate", str(root)], env=env, check=True)

@@ -348,28 +348,39 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "e" / "equilibria.json").exists()
 
 
-#: Runs the commands given as a JSON list of argv lists, then prints the
-#: loaded modules of the two scipy packages whose pieces ticsp owns.
+#: With scipy blocked, runs the commands given as a JSON list of argv lists
+#: and then every demo (paths in the second argument, stdout discarded),
+#: and prints the scipy modules loaded.
 _IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, runpy, sys
+sys.modules["scipy"] = None  # any import of scipy or a subpackage fails
 from ticsp.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith(("scipy.integrate", "scipy.optimize")))))
+for demo in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(demo, run_name="__main__")
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if name.startswith("scipy") and module is not None)))
 """
 
 
-def test_commands_import_neither_scipy_integrate_nor_optimize(tmp_path):
-    # checked after the commands ran, so a lazy import inside one fails too
-    commands = [["report"], ["reduce"], ["threshold", "--bracket", "319000", "320000"],
+def test_no_command_or_demo_imports_scipy(tmp_path):
+    # checked after everything ran, so a lazy import inside one fails too
+    commands = [["report"], ["reduce"], ["simulate"], ["csp"],
+                ["perturb", "--param", "e", "--factor", "0.6"],
+                ["threshold", "--bracket", "319000", "320000"],
                 ["bifurcate", "--param", "d", "--from", "0.05", "--to", "1.0"],
                 ["equilibria"]]
+    assert {argv[0] for argv in commands} == set(COMMAND_ARGS)
     argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in commands]
-    src = str(Path(ticsp.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+    root = Path(ticsp.__file__).resolve().parents[2]
+    demos = [str(path) for path in sorted((root / "demos").glob("*.py"))]
+    assert demos
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs),
+                           json.dumps(demos)],
                           capture_output=True, text=True, cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert all((tmp_path / argv[0]).is_dir() for argv in commands)

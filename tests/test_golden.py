@@ -20,9 +20,8 @@ def test_reference_texts_are_the_manifests():
         == manifest["sha256"]
 
 
-def test_byte_identical_set_matches_the_manifest(tmp_path):
+def _assert_matches_manifest(texts):
     manifest = load_manifest()
-    texts = fresh_texts(tmp_path)
     assert sorted(texts) == sorted(manifest["sha256"])
     reference = load_reference()
     changed = [describe_change(name, reference[name], text)
@@ -30,3 +29,11 @@ def test_byte_identical_set_matches_the_manifest(tmp_path):
     made_with = {key: manifest[key] for key in versions()}
     assert not changed, (f"manifest made with {made_with}, this run has {versions()}:\n"
                          + "\n".join(changed))
+
+
+def test_byte_identical_set_matches_the_manifest(tmp_path):
+    _assert_matches_manifest(fresh_texts(tmp_path))
+
+
+def test_byte_identical_set_is_the_same_at_two_openblas_threads(tmp_path):
+    _assert_matches_manifest(fresh_texts(tmp_path, threads=2))

@@ -1,6 +1,7 @@
 """Integration, dense evaluation, and basin bisection."""
 import functools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from scipy.integrate import Radau, solve_ivp
 from scipy.integrate._ivp import common as scipy_common
 from scipy.integrate._ivp import ivp as scipy_ivp
 from scipy.integrate._ivp import radau as scipy_radau
-from scipy.linalg import LinAlgWarning
+from scipy.linalg import lu_factor, lu_solve
 
 from ticsp import DEFAULT_PARAMETERS, State, integrator
 from ticsp.harness import SCENARIOS
 from ticsp.integrator import (
     IntegrationError,
     IntegratorConfig,
+    LinAlgWarning,
     Trajectory,
     _clip_undershoot,
     _full_model,
@@ -365,12 +367,17 @@ def test_radau_subclass_integrates_forward_only():
         _Radau(lambda t, y: -y, 1.0, np.ones(2), 0.0)
 
 
+def _toy_solver():
+    return _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
+
+
 def test_radau_subclass_keeps_the_lu_checks():
-    solver = _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
+    solver = _toy_solver()
     nlu = solver.nlu
     with pytest.raises(ValueError, match="infs or NaNs"):
         solver.lu(np.array([[1.0, np.nan], [0.0, 1.0]]))
     assert solver.nlu == nlu + 1
+    assert issubclass(LinAlgWarning, RuntimeWarning)  # as scipy's class of that name
     with pytest.warns(LinAlgWarning, match="Singular matrix"):
         solver.lu(np.zeros((2, 2)))
     LU = solver.lu(np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex))
@@ -378,6 +385,52 @@ def test_radau_subclass_keeps_the_lu_checks():
                        np.linalg.solve([[2.0, 1.0], [1.0, 3.0]], [3.0 + 1j, 4.0 + 2j]))
     with pytest.raises(ValueError, match="infs or NaNs"):
         solver.solve_lu(LU, np.array([np.inf, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solve_after_a_singular_lu_is_non_finite_and_silent(dtype):
+    # one warning, from `lu`; the solve neither raises nor warns again
+    # (LAPACK's singular-matrix flag would surface as a RuntimeWarning)
+    solver = _toy_solver()
+    with pytest.warns(LinAlgWarning, match="Singular matrix"):
+        LU = solver.lu(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solver.solve_lu(LU, np.ones(2, dtype=dtype))
+    assert x.shape == (2,) and not np.isfinite(x).any()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lu_solve_is_scipys_lu_factor_and_lu_solve_bit_for_bit(dtype):
+    solver = _toy_solver()
+    rng = np.random.default_rng(20261019)
+
+    def draw(shape):  # entries spanning 1e-6 to 1e6 in magnitude
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+
+    for _ in range(2000):
+        A, b = draw((4, 4)), draw(4)
+        if dtype is complex:
+            A, b = A + 1j * draw((4, 4)), b + 1j * draw(4)
+        ref = lu_solve(lu_factor(A), b)
+        assert solver.solve_lu(solver.lu(A), b).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["TP", "TR"])
+def test_every_solve_of_a_reference_run_is_scipys_lu_solve(name, monkeypatch):
+    solves = []
+    solve_lu = _Radau.solve_lu
+
+    def recorded(A, b):
+        x = solve_lu(A, b)
+        solves.append((A.copy(), b.copy(), x))
+        return x
+
+    monkeypatch.setattr(_Radau, "solve_lu", staticmethod(recorded))
+    integrate(SCENARIOS[name].state, P)
+    assert {A.dtype.kind for A, _, _ in solves} == {"f", "c"}
+    for A, b, x in solves:
+        assert x.tobytes() == lu_solve(lu_factor(A), b).tobytes()
 
 
 # ---------------------------------------------------------------------------
