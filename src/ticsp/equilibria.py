@@ -18,15 +18,20 @@ large sentinels whose signs match the adjacent feasible limits
 (F -> -L*_- < 0 as D* -> 0+, F -> +inf as D* -> d-), so plain sign
 bracketing never manufactures spurious roots at feasibility boundaries.
 `find_hte` evaluates F on its whole T* grid in one array pass to find the
-sign changes, then refines each with `_brentq` on the scalar `hte_residual`;
-a sweep makes one pass per `_CHUNK` of parameter sets and one `eigvals` call.
+sign changes, then refines each with `_brentq` on the scalar `hte_residual`.
+A sweep makes one grid pass per `_CHUNK` of parameter sets, refines all its
+sign changes in one lockstep Brent iteration (`_hte_roots`, one lane per
+sign change), rebuilds all its states as arrays and makes one `eigvals`
+call; every root, state and eigenvalue is bit for bit `find_hte`'s.
 `_brentq` is scipy 1.17.1's `brentq`, ported so that no command imports
-`scipy.optimize`; the tests hold it to scipy's roots bit for bit.
+`scipy.optimize`; the tests hold it and each lane of `_hte_roots` to
+scipy's roots and evaluation points bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Optional
@@ -47,6 +52,10 @@ _T_GRID = np.geomspace(1.0, 1e10, 400)  # the HTE root scan's T* grid
 _constants = attrgetter(*PARAMETER_NAMES)  # a ParameterSet's values, in order
 _CHUNK = 16  # parameter sets per grid pass: 200 swept values peak at 0.9 MB traced, not 8.8
 _EPS_STAB = 1e-12  # margin below 0 of every real part of a stable HTE
+_XTOL, _RTOL = 1e-13, 4.0 * np.finfo(float).eps  # an HTE root's tolerances, xtol per unit T*
+#: Brackets from which one lockstep Brent pass over all of them (`_hte_roots`)
+#: beats a `_brentq` loop: an array pass costs as much as ~60 scalar residuals.
+_LOCKSTEP_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -132,10 +141,18 @@ def tfe(p: ParameterSet) -> tuple[Equilibrium, Equilibrium]:
     return main, twin
 
 
-def _nk_balance(T, p: ParameterSet):
+def _libm_pow(x, y):
+    """x ** y per element of the array x, with libm's `pow` as a Python float
+    takes it (numpy's array `power` may differ in the last bit); y is a number
+    or an array like x."""
+    ys = y.tolist() if isinstance(y, np.ndarray) else repeat(y)
+    return np.fromiter(map(math.pow, x.tolist(), ys), float, len(x))
+
+
+def _nk_balance(T, p: ParameterSet, power=pow):
     """Numerator and denominator of N*(T*) in the NK balance; floats or arrays."""
     return (p.alpha * p.e * (p.h + T * T),
-            p.beta * (p.f * p.h + p.h * p.p * T + (p.f - p.g) * T * T + p.p * T**3))
+            p.beta * (p.f * p.h + p.h * p.p * T + (p.f - p.g) * T * T + p.p * power(T, 3)))
 
 
 def n_star(Tstar: float, p: ParameterSet) -> float:
@@ -149,10 +166,10 @@ def n_star(Tstar: float, p: ParameterSet) -> float:
     return num / denom
 
 
-def _kill_and_quadratic(T, N, p: ParameterSet):
+def _kill_and_quadratic(T, N, p: ParameterSet, power=pow):
     """D* and the CD8+ quadratic's coefficients at (T*, N*); floats or arrays."""
     D = p.a * (1.0 - p.b * T) - p.c * N
-    V2 = (D * T) ** 2
+    V2 = power(D * T, 2)
     a2 = -p.u * N
     b2 = -p.m + p.j * V2 / (p.k + V2) - p.q * T
     c2 = (p.r1 * N + p.r2 * (p.alpha / p.beta)) * T
@@ -188,9 +205,9 @@ def _positive_quadratic_root(a2: float, b2: float, c2: float) -> float:
     raise DomainError(_NO_POSITIVE_ROOT)
 
 
-def _cd8_for_kill(T, D, p: ParameterSet):
+def _cd8_for_kill(T, D, p: ParameterSet, power=pow):
     """L*_D: the CD8+ level whose kill factor at T* is D*; floats or arrays."""
-    return T * (p.s * D / (p.d - D)) ** (1.0 / p.l)
+    return T * power(p.s * D / (p.d - D), 1.0 / p.l)
 
 
 def hte_residual(Tstar: float, p: ParameterSet) -> float:
@@ -207,28 +224,43 @@ def hte_residual(Tstar: float, p: ParameterSet) -> float:
     return _cd8_for_kill(Tstar, D, p) - L_minus
 
 
-def _hte_grid_residuals(p) -> np.ndarray:
-    """`hte_residual` on all of `_T_GRID` in one array pass, its domain branches
-    as masks; for one ParameterSet, or one row each for m of them given as
-    (m, 1) columns of constants.  numpy's array `power` may differ from libm's
-    `pow` in the last bit, so the values may too; their signs and zeros do not."""
-    T = _T_GRID
-    num, denom = _nk_balance(T, p)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # on lanes with denom <= 0 or D* outside (0, d), masked out below
-        D, a2, b2, c2 = _kill_and_quadratic(T, num / denom, p)
-        L_D = _cd8_for_kill(T, D, p)
+def _hte_residuals(T, p, power=pow):
+    """`hte_residual` in one array pass, its domain branches as masks, at T
+    with constants that broadcast against it: (m, 1) columns for m parameter
+    sets on one grid, or one value per entry of T.  Also returns the masks of
+    the entries where the scalar call raises, for a negative discriminant and
+    for no positive root.  With libm's `pow` as `power` every value is the
+    scalar's bit for bit; numpy's array `power` may differ in the last bit,
+    and so may the values, but not their signs and zeros.  Entries outside
+    the feasible branch divide by zero or overflow: call under `np.errstate`."""
+    num, denom = _nk_balance(T, p, power)
+    D, a2, b2, c2 = _kill_and_quadratic(T, num / denom, p, power)
     low = (denom <= 0.0) | (D <= 0.0)
     ok = ~low & ~(D >= p.d)
-    disc, r1, r2 = _quadratic_roots(a2[ok], b2[ok], c2[ok])
-    if np.any(disc < 0.0):
-        raise DomainError(_NEGATIVE_DISCRIMINANT)
+    # a feasible stand-in where D* is not, so that pow sees no negative base
+    L_D = _cd8_for_kill(T, np.where(ok, D, 0.5 * p.d), p, power)
+    disc, r1, r2 = _quadratic_roots(a2, b2, c2)
     L_minus = np.where(r1 > 0.0, r1, r2)
-    if not np.all(L_minus > 0.0):
+    F = np.where(low, -_SENTINEL, np.where(ok, L_D - L_minus, _SENTINEL))
+    return F, ok & (disc < 0.0), ok & ~(L_minus > 0.0)
+
+
+def _hte_grid_residuals(p) -> np.ndarray:
+    """`_hte_residuals` on all of `_T_GRID` for one ParameterSet, or one row
+    each for m of them given as (m, 1) columns of constants; raises the
+    scalar's DomainError if any point does."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F, negative_disc, no_root = _hte_residuals(_T_GRID, p)
+    if negative_disc.any():
+        raise DomainError(_NEGATIVE_DISCRIMINANT)
+    if no_root.any():
         raise DomainError(_NO_POSITIVE_ROOT)
-    F = np.where(low, -_SENTINEL, +_SENTINEL)
-    F[ok] = L_D[ok] - L_minus
     return F
+
+
+def _columns(constants: np.ndarray) -> SimpleNamespace:
+    """Parameter constants as attributes, one row of `constants` each."""
+    return SimpleNamespace(**dict(zip(PARAMETER_NAMES, constants)))
 
 
 def _brentq(f, a, b, xtol: float, rtol: float) -> float:
@@ -288,6 +320,96 @@ def _brentq(f, a, b, xtol: float, rtol: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur:f}")
 
 
+def _hte_roots(constants: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A root of `hte_residual` in [a[i], b[i]] for each lane i, with the
+    parameter constants `constants[:, i]`: `_brentq` (xtol `_XTOL` max(1, a),
+    rtol `_RTOL`) on every lane at once.  Each step does `_brentq`'s operations
+    in its order on arrays, masks where lanes branch, and drops the lanes that
+    finish; the residual is `_hte_residuals` with libm's `pow`, so every
+    evaluation point and root is a lane's own `_brentq` call's bit for bit.
+    Raises what those calls, made lane by lane, would raise first."""
+    roots = np.empty(len(a))
+    errors: dict[int, Exception] = {}  # each failed lane's exception
+
+    def residuals(x, lanes, p):
+        F, negative_disc, no_root = _hte_residuals(x, p, _libm_pow)
+        failed = negative_disc | no_root | np.isnan(F)
+        for k in np.flatnonzero(failed):
+            errors.setdefault(int(lanes[k]), DomainError(_NEGATIVE_DISCRIMINANT)
+                              if negative_disc[k] else DomainError(_NO_POSITIVE_ROOT)
+                              if no_root[k] else ValueError(
+                                  f"The function value at x={float(x[k])} is NaN; "
+                                  "solver cannot continue."))
+        return F, failed
+
+    lanes = np.arange(len(a))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F, failed = residuals(np.concatenate([a, b]), np.concatenate([lanes, lanes]),
+                              _columns(np.concatenate([constants, constants], axis=1)))
+        fa, fb = np.split(F, 2)
+        at_a = fa == 0.0
+        at_b = ~at_a & (fb == 0.0)
+        roots[at_a], roots[at_b] = a[at_a], b[at_b]
+        failed = np.logical_or(*np.split(failed, 2))
+        same_sign = ~(failed | at_a | at_b) & (np.signbit(fa) == np.signbit(fb))
+        for k in np.flatnonzero(same_sign):
+            errors[k] = ValueError("f(a) and f(b) must have different signs")
+        live = ~(failed | at_a | at_b | same_sign)
+        # rows: xpre, xcur, xblk, fpre, fcur, fblk, spre, scur
+        Z = np.zeros((8, np.count_nonzero(live)))
+        Z[[0, 1, 3, 4]] = a[live], b[live], fa[live], fb[live]
+        lanes, constants, xtol = lanes[live], constants[:, live], _XTOL * np.maximum(1.0, a[live])
+        p = _columns(constants)
+        for _ in range(100):
+            if not len(lanes):
+                break
+            xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = Z
+            # fpre is never 0 here: a lane ends where its f is 0
+            sign = np.signbit(Z[3:5])
+            flip = (fcur != 0.0) & (sign[0] != sign[1])
+            np.copyto(Z[6:], xcur - xpre, where=flip)  # spre = scur = xcur - xpre
+            np.copyto(Z[2:6:3], Z[0:6:3], where=flip)  # xblk, fblk = xpre, fpre
+            # xpre, xcur, xblk = xcur, xblk, xcur where |fblk| < |fcur|, and the same for f
+            np.copyto(Z[:6], Z[[1, 2, 1, 4, 5, 4]], where=abs(fblk) < abs(fcur))
+            A = abs(Z)
+            delta = (xtol + _RTOL * A[1]) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (abs(sbis) < delta)
+            if done.any():
+                roots[lanes[done]] = xcur[done]
+                go = ~done
+                Z, A, lanes, constants = Z[:, go], A[:, go], lanes[go], constants[:, go]
+                xtol, delta, sbis = xtol[go], delta[go], sbis[go]
+                if not len(lanes):
+                    break
+                p = _columns(constants)
+                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = Z
+            # interpolate where xpre == xblk, else extrapolate; bisect where
+            # the step is not short, or divides by zero to inf or NaN
+            dpre, dblk = (Z[3:6:2] - fcur) / (Z[0:3:2] - xcur)
+            stry = np.where((A[6] > delta) & (A[4] < A[3]),
+                            np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                                     -fcur * (fblk * dblk - fpre * dpre)
+                                     / (dblk * dpre * (fblk - fpre))),
+                            np.nan)
+            short = 2 * abs(stry) < np.minimum(A[6], 3 * abs(sbis) - delta)
+            Z[6] = np.where(short, scur, sbis)
+            Z[7] = np.where(short, stry, sbis)
+            Z[0:6:3] = Z[1:6:3]  # xpre, fpre = xcur, fcur
+            # sbis is not 0 here, so copysign is `delta if sbis > 0 else -delta`
+            Z[1] += np.where(abs(scur) > delta, scur, np.copysign(delta, sbis))
+            Z[4], failed = residuals(Z[1], lanes, p)
+            if failed.any():
+                go = ~failed
+                Z, lanes, constants, xtol = Z[:, go], lanes[go], constants[:, go], xtol[go]
+                p = _columns(constants)
+    for k, x in zip(lanes.tolist(), Z[1].tolist()):
+        errors[k] = RuntimeError(f"Failed to converge after 100 iterations, value is {x:f}")
+    if errors:
+        raise errors[min(errors)]
+    return roots
+
+
 def hte_state(Tstar: float, p: ParameterSet) -> np.ndarray:
     """Reconstruct the full (T, N, L, C) vector at a residual root."""
     N, D, a2, b2, c2 = _hte_pieces(Tstar, p)
@@ -302,48 +424,77 @@ def find_hte(p: ParameterSet) -> list[Equilibrium]:
     One array pass of the residual over a 400-point log-spaced grid only
     decides signs and zeros; `_brentq` on the scalar `hte_residual` refines each
     sign change to 4 eps relative tolerance in T*, so no root depends on the
-    grid's last bits.  Then each state is reconstructed and classified, on
-    the path of a sweep (`_find_hte_many`).  An empty list is a valid outcome
-    (e.g. past the saddle-node).
+    grid's last bits.  Then the states are reconstructed and classified; this
+    is the one-set case of a sweep's `_find_hte_many`.  An empty list is a
+    valid outcome (e.g. past the saddle-node).
     """
     return _find_hte_many([p])[0]
 
 
 def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
-    """`find_hte` for each parameter set of `qs`, with one grid pass per
-    `_CHUNK` of them and one `eigvals` call for the states of all of them
-    (LAPACK `geev` per matrix, so each state's eigenvalues are bit for bit
-    those of its own call)."""
-    states: list[list[np.ndarray]] = []
+    """`find_hte` for each parameter set of `qs`, bit for bit: one grid pass
+    per `_CHUNK` of them; their brackets refined by one lockstep Brent
+    iteration (`_hte_roots`) from `_LOCKSTEP_LANES` brackets on, and by a
+    `_brentq` loop below; the states of all roots rebuilt as arrays with
+    libm's powers, the loop's filters as masks; and one `eigvals` call for
+    all the states (LAPACK `geev` per matrix, so each state's eigenvalues
+    are those of its own call)."""
+    constants = np.array([_constants(q) for q in qs]).T
+    zeros, brackets = [], []  # (parameter set, grid index) pairs
     for start in range(0, len(qs), _CHUNK):
-        chunk = qs[start:start + _CHUNK]
-        columns = np.array([_constants(q) for q in chunk]).T[:, :, None]
-        F = _hte_grid_residuals(SimpleNamespace(**dict(zip(PARAMETER_NAMES, columns))))
+        F = _hte_grid_residuals(_columns(constants[:, start:start + _CHUNK, None]))
         zero = F == 0.0
-        brackets = ~zero[:, :-1] & ((F[:, :-1] > 0.0) != (F[:, 1:] > 0.0))
-        for q, zero_q, brackets_q in zip(chunk, zero, brackets):
-            # Refine to machine precision: the returned states must satisfy the
-            # equilibrium conditions to ~1e-10 of the population scale.
-            roots = [float(_T_GRID[i]) for i in np.flatnonzero(zero_q)]
-            roots += [_brentq(lambda T: hte_residual(T, q), _T_GRID[i], _T_GRID[i + 1],
-                              1e-13 * max(1.0, _T_GRID[i]), 4.0 * np.finfo(float).eps)
-                      for i in np.flatnonzero(brackets_q)]
-            ys: list[np.ndarray] = []
-            for T in sorted(roots):
-                if ys and abs(T - ys[-1][0]) <= 1e-8 * T:
-                    continue  # duplicate root found from adjacent brackets
-                y = hte_state(T, q)
-                if np.all(y > 0.0):
-                    ys.append(y)
-            states.append(ys)
+        cross = ~zero[:, :-1] & ((F[:, :-1] > 0.0) != (F[:, 1:] > 0.0))
+        zeros.append(np.argwhere(zero) + (start, 0))
+        brackets.append(np.argwhere(cross) + (start, 0))
+    zeros, brackets = np.concatenate(zeros), np.concatenate(brackets)
+    # Refine to machine precision: the returned states must satisfy the
+    # equilibrium conditions to ~1e-10 of the population scale.
+    a, b = _T_GRID[brackets[:, 1]], _T_GRID[brackets[:, 1] + 1]
+    if len(brackets) >= _LOCKSTEP_LANES:
+        roots = _hte_roots(constants[:, brackets[:, 0]], a, b)
+    else:
+        roots = np.array([_brentq(lambda T: hte_residual(T, qs[s]), lo, hi, _XTOL * max(1.0, lo), _RTOL)
+                          for s, lo, hi in zip(brackets[:, 0].tolist(), a.tolist(), b.tolist())])
+    sets = np.concatenate([zeros[:, 0], brackets[:, 0]])
+    T = np.concatenate([_T_GRID[zeros[:, 1]], roots])
+    order = np.lexsort((T, sets))
+    sets, T = sets[order], T[order]
 
-    pairs = [(q, y) for q, ys in zip(qs, states) for y in ys]
-    eigs = np.linalg.eigvals(np.reshape([jacobian_array(y, q) for q, y in pairs], (-1, 4, 4)))
-    stable = np.all(eigs.real < -_EPS_STAB, axis=1)
-    # a state's own call returns real eigenvalues when none has an imaginary part
-    eqs = iter([Equilibrium("HTE", y, w if w.imag.any() else w.real, bool(st), True)
-                for (_, y), w, st in zip(pairs, eigs, stable)])
-    return [[next(eqs) for _ in ys] for ys in states]
+    # hte_state of every root, with libm's powers
+    p = _columns(constants[:, sets])
+    num, denom = _nk_balance(T, p, _libm_pow)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        N = num / denom
+        D, a2, b2, c2 = _kill_and_quadratic(T, N, p, _libm_pow)
+        disc, r1, r2 = _quadratic_roots(a2, b2, c2)
+    L = np.where(r1 > 0.0, r1, r2)
+    Y = np.empty((len(T), 4))
+    Y[:, 0], Y[:, 1], Y[:, 2], Y[:, 3] = T, N, L, p.alpha / p.beta
+    positive = np.all(Y > 0.0, axis=1)
+    # A root duplicates the last kept root of its set within 1e-8 relative.
+    # Roots lie in distinct grid cells (a zero at T_i stops the bracket of
+    # cell i), so at most two lie that close and the last kept root is the
+    # previous one when that one is positive.
+    duplicate = np.zeros(len(T), dtype=bool)
+    duplicate[1:] = ((sets[1:] == sets[:-1]) & positive[:-1]
+                     & (T[1:] - T[:-1] <= 1e-8 * T[1:]))
+    feasible = (denom > 0.0) & (0.0 < D) & (D < p.d) & ~(disc < 0.0) & (L > 0.0)
+    failed = np.flatnonzero(~duplicate & ~feasible)
+    if len(failed):
+        hte_state(float(T[failed[0]]), qs[sets[failed[0]]])  # raises the loop's DomainError
+    keep = ~duplicate & positive
+    Y, sets = Y[keep], sets[keep].tolist()
+
+    eigs = np.linalg.eigvals(np.reshape([jacobian_array(y, qs[s]) for y, s in zip(Y, sets)],
+                                        (-1, 4, 4)))
+    stable = np.all(eigs.real < -_EPS_STAB, axis=1).tolist()
+    oscillating = eigs.imag.any(axis=1).tolist()
+    out: list[list[Equilibrium]] = [[] for _ in qs]
+    for s, y, w, osc, st in zip(sets, Y, eigs, oscillating, stable):
+        # a state's own call returns real eigenvalues when none has an imaginary part
+        out[s].append(Equilibrium("HTE", y, w if osc else w.real, st, True))
+    return out
 
 
 # ---------------------------------------------------------------------------

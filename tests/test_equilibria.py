@@ -289,12 +289,15 @@ def test_find_hte_bit_identical_to_the_loop_scan(p):
 
 
 @pytest.mark.parametrize("name, value_range, steps, log", [
-    ("d", (0.05, 1.0), 40, False),
+    ("d", (0.05, 1.0), 48, False),
     ("d", (2.34, 2000.0), 60, True),
-    *((name, (0.1 * getattr(P, name), 10.0 * getattr(P, name)), 40, True) for name in "gjp"),
-], ids=["d-linear", "d-log", "g-log", "j-log", "p-log"])
-def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, steps, log):
+    *((name, (0.1 * getattr(P, name), 10.0 * getattr(P, name)), 40, True) for name in "gjpq"),
+    ("l", (0.1 * P.l, 10.0 * P.l), 56, True),  # an exponent per lane
+], ids=["d-linear", "d-log", "g-log", "j-log", "p-log", "q-log", "l-log"])
+def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, steps, log, monkeypatch):
+    lockstep = count_calls(monkeypatch, "equilibria._hte_roots")
     scan = bifurcation_scan(P, name, value_range, steps, log=log)
+    assert lockstep["equilibria._hte_roots"] == 1  # every case has >= _LOCKSTEP_LANES brackets
     qs = [P.replace(**{name: float(v)}) for v in scan.values]
     oracle = {float(v): _find_hte_loop(q) for v, q in zip(scan.values, qs)}
     for v, q, eqs in zip(scan.values, qs, _find_hte_many(qs)):
@@ -335,9 +338,38 @@ def _traced(f):
     return traced, xs
 
 
+def _lockstep_passes(monkeypatch):
+    """The points of each lockstep residual pass, as they are made."""
+    passes = []
+    original = equilibria._hte_residuals
+
+    def traced(T, p, power=pow):
+        if power is equilibria._libm_pow:
+            passes.append(T.tolist())
+        return original(T, p, power)
+
+    monkeypatch.setattr(equilibria, "_hte_residuals", traced)
+    return passes
+
+
+def _lane_points(passes, counts):
+    """Each lane's evaluation points from the lockstep's passes: the first
+    holds every lane's a then every lane's b, and pass t >= 1 the t-th
+    iterate of each lane still running, in lane order; a lane whose own
+    call makes `counts[k]` evaluations runs for the passes t < counts[k] - 1."""
+    n = len(counts)
+    xs = [[passes[0][k], passes[0][n + k]] for k in range(n)]
+    for t, points in enumerate(passes[1:], start=1):
+        running = [k for k in range(n) if counts[k] > t + 1]
+        assert len(points) == len(running)
+        for k, x in zip(running, points):
+            xs[k].append(x)
+    return xs
+
+
 @pytest.mark.parametrize("sweep", sorted(BENCH_SWEEPS))
-def test_brentq_matches_scipy_on_every_hte_bracket_of_the_benchmark_sweeps(sweep):
-    brackets = 0
+def test_brentq_matches_scipy_on_every_hte_bracket_of_the_benchmark_sweeps(sweep, monkeypatch):
+    lanes, refs = [], []
     for v in BENCH_SWEEPS[sweep]:
         q = P.replace(d=float(v))
         F = _hte_grid_residuals(q)
@@ -349,8 +381,61 @@ def test_brentq_matches_scipy_on_every_hte_bracket_of_the_benchmark_sweeps(sweep
             root = _brentq(lambda T: ours(T, q), a, b, xtol, rtol)
             assert root.hex() == brentq(ref, a, b, args=(q,), xtol=xtol, rtol=rtol).hex()
             assert ours_xs == ref_xs
-            brackets += 1
-    assert brackets == {"linear": 320, "log": 360}[sweep]
+            lanes.append((q, i))
+            refs.append((root, ref_xs))
+    assert len(lanes) == {"linear": 320, "log": 360}[sweep]
+    # the lockstep, every bracket a lane: each lane's root and points are scipy's
+    passes = _lockstep_passes(monkeypatch)
+    i = np.array([i for _, i in lanes])
+    roots = equilibria._hte_roots(np.array([equilibria._constants(q) for q, _ in lanes]).T,
+                                  _T_GRID[i], _T_GRID[i + 1])
+    assert [r.hex() for r in roots.tolist()] == [root.hex() for root, _ in refs]
+    assert _lane_points(passes, [len(xs) for _, xs in refs]) == [xs for _, xs in refs]
+
+
+def test_a_sweep_refines_its_roots_in_lockstep(monkeypatch):
+    calls = count_calls(monkeypatch, "equilibria.hte_residual", "equilibria._brentq")
+    passes = _lockstep_passes(monkeypatch)
+    scan = bifurcation_scan(P, "d", (2.34, 2000.0), 200, log=True)
+    assert not calls
+    # one pass at the brackets' ends, then one per Brent step of the slowest lane
+    assert len(passes) == 12
+    assert len(passes[0]) == 2 * 360
+    assert scan.saddle_node is not None
+
+
+def _rewrite_off_grid(monkeypatch, name, change):
+    """Rewrite what `equilibria.<name>` returns at T* off the grid in
+    (1e7, 3e7), around the saddle HTE, by `change(result, hit)`: the grid
+    pass never sees it and the refinement of the saddle's bracket does."""
+    original = getattr(equilibria, name)
+
+    def patched(T, *args):
+        hit = (1e7 < T) & (T < 3e7) & ~np.isin(T, _T_GRID)
+        return change(original(T, *args), hit)
+
+    monkeypatch.setattr(equilibria, name, patched)
+
+
+@pytest.mark.parametrize("name, change, error", [
+    # b2 = 0 with c2 -> -c2 gives disc = 4 a2 c2 < 0
+    ("_kill_and_quadratic",
+     lambda out, hit: (*out[:2], np.where(hit, 0.0, out[2]), np.where(hit, -out[3], out[3])),
+     DomainError),
+    ("_cd8_for_kill", lambda L_D, hit: np.where(hit, np.nan, L_D), ValueError),
+], ids=["negative-discriminant", "nan"])
+def test_refinement_raises_what_the_scalar_path_raises(monkeypatch, name, change, error):
+    _rewrite_off_grid(monkeypatch, name, change)
+    qs = [P.replace(d=float(v)) for v in np.linspace(2.3, 2.4, 40)]  # 80 brackets
+    i = np.searchsorted(_T_GRID, 1.906e7) - 1  # the first set's saddle bracket
+    with pytest.raises(error) as ref:
+        brentq(hte_residual, _T_GRID[i], _T_GRID[i + 1], args=(qs[0],),
+               xtol=1e-13 * _T_GRID[i], rtol=4.0 * np.finfo(float).eps)
+    lockstep = count_calls(monkeypatch, "equilibria._hte_roots")
+    for call in (lambda: _find_hte_many(qs), lambda: find_hte(qs[0])):
+        with pytest.raises(error, match=f"^{re.escape(str(ref.value))}$"):
+            call()
+    assert lockstep["equilibria._hte_roots"] == 1
 
 
 def test_brentq_matches_scipy_on_the_transcritical_margin():
@@ -439,8 +524,8 @@ def test_bifurcation_scan_memory_is_bounded():
 def _patched_quadratic(monkeypatch, change):
     original = equilibria._kill_and_quadratic
 
-    def patched(T, N, p):
-        D, a2, b2, c2 = original(T, N, p)
+    def patched(T, N, p, *power):
+        D, a2, b2, c2 = original(T, N, p, *power)
         return (D, a2, *change(b2, c2))
 
     monkeypatch.setattr(equilibria, "_kill_and_quadratic", patched)
