@@ -514,7 +514,7 @@ class BifurcationScan:
     values: np.ndarray
     branches: list[BifurcationBranch]
     transcritical: Optional[float]   # TFE stability flip, refined
-    saddle_node: Optional[float]     # last swept value with two feasible HTE
+    saddle_node: Optional[float]     # swept value at the fold, on its two-HTE side
 
 
 def bifurcation_scan(
@@ -530,9 +530,11 @@ def bifurcation_scan(
     `find_hte` across the sweep (matched between consecutive values in
     sorted-T* order), locates the transcritical point where the TFE
     stability margin (a-d) beta f - alpha c e changes sign, and reports
-    the saddle-node as the last swept value carrying two feasible HTE.
-    The HTE come from one grid pass per `_CHUNK` of swept values and one
-    `eigvals` call for the whole sweep, each bit for bit as `find_hte`.
+    the saddle-node: of the steps where the HTE count changes by two (a
+    pair appears or disappears), the one at the largest parameter value,
+    as its swept value on the pair's side, in either sweep direction; None
+    without such a step.  The HTE come from `_find_hte_many`, each bit for
+    bit as `find_hte`.
     Both ends of `value_range` must be finite, and positive with `log`.
     """
     if parameter not in PARAMETER_NAMES:
@@ -575,10 +577,10 @@ def bifurcation_scan(
                                     values[i], values[i + 1], 2e-12, 1e-12)
             break
 
-    saddle_node = None
-    for value, eqs in zip(values, results):
-        if len(eqs) >= 2:
-            saddle_node = float(value)
+    counts = [len(eqs) for eqs in results]
+    folds = [float(values[i] if counts[i] > counts[i + 1] else values[i + 1])
+             for i in range(len(values) - 1) if abs(counts[i] - counts[i + 1]) == 2]
+    saddle_node = max(folds, default=None)
 
     return BifurcationScan(parameter=parameter, values=values,
                            branches=[tfe_branch] + hte_branches,

@@ -168,6 +168,25 @@ def test_bifurcation_scan_d():
         assert st == (v > d_star)
 
 
+@pytest.mark.parametrize("value_range", [(2.34, 2000.0), (2000.0, 2.34)], ids=["up", "down"])
+def test_saddle_node_is_the_fold_in_either_sweep_direction(value_range):
+    scan = bifurcation_scan(P, "d", value_range, 50, log=True)
+    counts = {float(v): len(find_hte(P.replace(d=float(v)))) for v in scan.values}
+    # the pair disappears between the largest value with two HTE and the next
+    pair = max(v for v, n in counts.items() if n == 2)
+    assert counts[min(v for v in counts if v > pair)] == 0
+    assert scan.saddle_node == pair
+    assert scan.saddle_node == pytest.approx(1004.30422, rel=1e-8)
+
+
+@pytest.mark.parametrize("value_range", [(0.05, 1.0), (1.0, 0.05)], ids=["up", "down"])
+def test_saddle_node_is_none_without_a_fold(value_range):
+    # the HTE count goes from one to two at the transcritical point: no pair appears
+    scan = bifurcation_scan(P, "d", value_range, 40)
+    assert scan.transcritical is not None
+    assert scan.saddle_node is None
+
+
 def test_bifurcation_matches_standalone_find_hte():
     scan = bifurcation_scan(P, "d", (2.34, 3.34), steps=2)
     standalone = find_hte(P)
