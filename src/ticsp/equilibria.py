@@ -19,10 +19,11 @@ large sentinels whose signs match the adjacent feasible limits
 bracketing never manufactures spurious roots at feasibility boundaries.
 `find_hte` evaluates F on its whole T* grid in one array pass to find the
 sign changes, then refines each with `_brentq` on the scalar `hte_residual`.
-A sweep makes one grid pass per `_CHUNK` of parameter sets, refines all its
-sign changes in one lockstep Brent iteration (`_hte_roots`, one lane per
-sign change), rebuilds all its states as arrays and makes one `eigvals`
-call; every root, state and eigenvalue is bit for bit `find_hte`'s.
+A sweep makes one grid pass per `_CHUNK` of parameter sets, refines its
+sign changes, from `_LOCKSTEP_LANES` of them on, in one lockstep Brent
+iteration (`_hte_roots`, one lane per sign change), rebuilds all its states
+as arrays and makes one `eigvals` call; every root, state and eigenvalue is
+bit for bit `find_hte`'s.
 `_brentq` is scipy 1.17.1's `brentq`, ported so that no command imports
 `scipy.optimize`; the tests hold it and each lane of `_hte_roots` to
 scipy's roots and evaluation points bit for bit.
@@ -454,7 +455,8 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     if len(brackets) >= _LOCKSTEP_LANES:
         roots = _hte_roots(constants[:, brackets[:, 0]], a, b)
     else:
-        roots = np.array([_brentq(lambda T: hte_residual(T, qs[s]), lo, hi, _XTOL * max(1.0, lo), _RTOL)
+        roots = np.array([_brentq(lambda T: hte_residual(T, qs[s]), lo, hi,
+                                  _XTOL * max(1.0, lo), _RTOL)
                           for s, lo, hi in zip(brackets[:, 0].tolist(), a.tolist(), b.tolist())])
     sets = np.concatenate([zeros[:, 0], brackets[:, 0]])
     T = np.concatenate([_T_GRID[zeros[:, 1]], roots])

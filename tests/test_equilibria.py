@@ -313,7 +313,8 @@ def test_find_hte_bit_identical_to_the_loop_scan(p):
     *((name, (0.1 * getattr(P, name), 10.0 * getattr(P, name)), 40, True) for name in "gjpq"),
     ("l", (0.1 * P.l, 10.0 * P.l), 56, True),  # an exponent per lane
 ], ids=["d-linear", "d-log", "g-log", "j-log", "p-log", "q-log", "l-log"])
-def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, steps, log, monkeypatch):
+def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, steps, log,
+                                                         monkeypatch):
     lockstep = count_calls(monkeypatch, "equilibria._hte_roots")
     scan = bifurcation_scan(P, name, value_range, steps, log=log)
     assert lockstep["equilibria._hte_roots"] == 1  # every case has >= _LOCKSTEP_LANES brackets
