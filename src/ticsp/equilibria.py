@@ -17,13 +17,12 @@ the branch is infeasible (D* outside (0, d)) the residual is replaced by
 large sentinels whose signs match the adjacent feasible limits
 (F -> -L*_- < 0 as D* -> 0+, F -> +inf as D* -> d-), so plain sign
 bracketing never manufactures spurious roots at feasibility boundaries.
-`find_hte` evaluates F on its whole T* grid in one array pass to find the
-sign changes, then refines each with `_brentq` on the scalar `hte_residual`.
-A sweep makes one grid pass per `_CHUNK` of parameter sets, refines its
-sign changes, from `_LOCKSTEP_LANES` of them on, in one lockstep Brent
-iteration (`_hte_roots`, one lane per sign change), rebuilds all its states
-as arrays and makes one `eigvals` call; every root, state and eigenvalue is
-bit for bit `find_hte`'s.
+A sweep, and `find_hte` as its one-set case, evaluates F in one grid pass
+per `_CHUNK` of parameter sets to find the sign changes, refines all of them
+in one lockstep Brent iteration (`_hte_roots`, one lane per sign change),
+rebuilds all its states with one more array pass of the residual at the
+roots and makes one `eigvals` call; every root, state and eigenvalue is bit
+for bit what the scalar `hte_residual`, Brent's method and `hte_state` give.
 `_brentq` is scipy 1.17.1's `brentq`, ported so that no command imports
 `scipy.optimize`; the tests hold it and each lane of `_hte_roots` to
 scipy's roots and evaluation points bit for bit.
@@ -54,9 +53,6 @@ _constants = attrgetter(*PARAMETER_NAMES)  # a ParameterSet's values, in order
 _CHUNK = 16  # parameter sets per grid pass: 200 swept values peak at 0.9 MB traced, not 8.8
 _EPS_STAB = 1e-12  # margin below 0 of every real part of a stable HTE
 _XTOL, _RTOL = 1e-13, 4.0 * np.finfo(float).eps  # an HTE root's tolerances, xtol per unit T*
-#: Brackets from which one lockstep Brent pass over all of them (`_hte_roots`)
-#: beats a `_brentq` loop: an array pass costs as much as ~60 scalar residuals.
-_LOCKSTEP_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -230,12 +226,15 @@ def _hte_residuals(T, p, power=pow):
     with constants that broadcast against it: (m, 1) columns for m parameter
     sets on one grid, or one value per entry of T.  Also returns the masks of
     the entries where the scalar call raises, for a negative discriminant and
-    for no positive root.  With libm's `pow` as `power` every value is the
-    scalar's bit for bit; numpy's array `power` may differ in the last bit,
-    and so may the values, but not their signs and zeros.  Entries outside
-    the feasible branch divide by zero or overflow: call under `np.errstate`."""
+    for no positive root, then N*, L*_- and the mask of the feasible branch
+    (NaN D* counts as feasible, as in the scalar).  With libm's `pow` as
+    `power` every value is the scalar's bit for bit; numpy's array `power`
+    may differ in the last bit, and so may the values, but not their signs
+    and zeros.  Entries outside the feasible branch divide by zero or
+    overflow: call under `np.errstate`."""
     num, denom = _nk_balance(T, p, power)
-    D, a2, b2, c2 = _kill_and_quadratic(T, num / denom, p, power)
+    N = num / denom
+    D, a2, b2, c2 = _kill_and_quadratic(T, N, p, power)
     low = (denom <= 0.0) | (D <= 0.0)
     ok = ~low & ~(D >= p.d)
     # a feasible stand-in where D* is not, so that pow sees no negative base
@@ -243,7 +242,7 @@ def _hte_residuals(T, p, power=pow):
     disc, r1, r2 = _quadratic_roots(a2, b2, c2)
     L_minus = np.where(r1 > 0.0, r1, r2)
     F = np.where(low, -_SENTINEL, np.where(ok, L_D - L_minus, _SENTINEL))
-    return F, ok & (disc < 0.0), ok & ~(L_minus > 0.0)
+    return F, ok & (disc < 0.0), ok & ~(L_minus > 0.0), N, L_minus, ok
 
 
 def _hte_grid_residuals(p) -> np.ndarray:
@@ -251,7 +250,7 @@ def _hte_grid_residuals(p) -> np.ndarray:
     each for m of them given as (m, 1) columns of constants; raises the
     scalar's DomainError if any point does."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        F, negative_disc, no_root = _hte_residuals(_T_GRID, p)
+        F, negative_disc, no_root = _hte_residuals(_T_GRID, p)[:3]
     if negative_disc.any():
         raise DomainError(_NEGATIVE_DISCRIMINANT)
     if no_root.any():
@@ -333,7 +332,7 @@ def _hte_roots(constants: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     errors: dict[int, Exception] = {}  # each failed lane's exception
 
     def residuals(x, lanes, p):
-        F, negative_disc, no_root = _hte_residuals(x, p, _libm_pow)
+        F, negative_disc, no_root = _hte_residuals(x, p, _libm_pow)[:3]
         failed = negative_disc | no_root | np.isnan(F)
         for k in np.flatnonzero(failed):
             errors.setdefault(int(lanes[k]), DomainError(_NEGATIVE_DISCRIMINANT)
@@ -423,8 +422,9 @@ def find_hte(p: ParameterSet) -> list[Equilibrium]:
     """All feasible high-tumor equilibria with T* in [1, 1e10], sorted by T*.
 
     One array pass of the residual over a 400-point log-spaced grid only
-    decides signs and zeros; `_brentq` on the scalar `hte_residual` refines each
-    sign change to 4 eps relative tolerance in T*, so no root depends on the
+    decides signs and zeros; the lockstep Brent iteration `_hte_roots` refines
+    each sign change to 4 eps relative tolerance in T*, each root bit for bit
+    scipy's `brentq` on the scalar `hte_residual`, so no root depends on the
     grid's last bits.  Then the states are reconstructed and classified; this
     is the one-set case of a sweep's `_find_hte_many`.  An empty list is a
     valid outcome (e.g. past the saddle-node).
@@ -434,12 +434,11 @@ def find_hte(p: ParameterSet) -> list[Equilibrium]:
 
 def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     """`find_hte` for each parameter set of `qs`, bit for bit: one grid pass
-    per `_CHUNK` of them; their brackets refined by one lockstep Brent
-    iteration (`_hte_roots`) from `_LOCKSTEP_LANES` brackets on, and by a
-    `_brentq` loop below; the states of all roots rebuilt as arrays with
-    libm's powers, the loop's filters as masks; and one `eigvals` call for
-    all the states (LAPACK `geev` per matrix, so each state's eigenvalues
-    are those of its own call)."""
+    per `_CHUNK` of them; all their brackets refined by one lockstep Brent
+    iteration (`_hte_roots`); the states of all roots rebuilt by one more
+    `_hte_residuals` pass with libm's powers, the loop's filters as masks;
+    and one `eigvals` call for all the states (LAPACK `geev` per matrix, so
+    each state's eigenvalues are those of its own call)."""
     constants = np.array([_constants(q) for q in qs]).T
     zeros, brackets = [], []  # (parameter set, grid index) pairs
     for start in range(0, len(qs), _CHUNK):
@@ -451,13 +450,8 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     zeros, brackets = np.concatenate(zeros), np.concatenate(brackets)
     # Refine to machine precision: the returned states must satisfy the
     # equilibrium conditions to ~1e-10 of the population scale.
-    a, b = _T_GRID[brackets[:, 1]], _T_GRID[brackets[:, 1] + 1]
-    if len(brackets) >= _LOCKSTEP_LANES:
-        roots = _hte_roots(constants[:, brackets[:, 0]], a, b)
-    else:
-        roots = np.array([_brentq(lambda T: hte_residual(T, qs[s]), lo, hi,
-                                  _XTOL * max(1.0, lo), _RTOL)
-                          for s, lo, hi in zip(brackets[:, 0].tolist(), a.tolist(), b.tolist())])
+    roots = _hte_roots(constants[:, brackets[:, 0]],
+                       _T_GRID[brackets[:, 1]], _T_GRID[brackets[:, 1] + 1])
     sets = np.concatenate([zeros[:, 0], brackets[:, 0]])
     T = np.concatenate([_T_GRID[zeros[:, 1]], roots])
     order = np.lexsort((T, sets))
@@ -465,12 +459,8 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
 
     # hte_state of every root, with libm's powers
     p = _columns(constants[:, sets])
-    num, denom = _nk_balance(T, p, _libm_pow)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        N = num / denom
-        D, a2, b2, c2 = _kill_and_quadratic(T, N, p, _libm_pow)
-        disc, r1, r2 = _quadratic_roots(a2, b2, c2)
-    L = np.where(r1 > 0.0, r1, r2)
+        _, negative_disc, no_root, N, L, ok = _hte_residuals(T, p, _libm_pow)
     Y = np.empty((len(T), 4))
     Y[:, 0], Y[:, 1], Y[:, 2], Y[:, 3] = T, N, L, p.alpha / p.beta
     positive = np.all(Y > 0.0, axis=1)
@@ -481,7 +471,8 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     duplicate = np.zeros(len(T), dtype=bool)
     duplicate[1:] = ((sets[1:] == sets[:-1]) & positive[:-1]
                      & (T[1:] - T[:-1] <= 1e-8 * T[1:]))
-    feasible = (denom > 0.0) & (0.0 < D) & (D < p.d) & ~(disc < 0.0) & (L > 0.0)
+    # a NaN N* or D* passes `ok` but makes b2, and so L*_-, NaN: `no_root` rejects it
+    feasible = ok & ~negative_disc & ~no_root
     failed = np.flatnonzero(~duplicate & ~feasible)
     if len(failed):
         hte_state(float(T[failed[0]]), qs[sets[failed[0]]])  # raises the loop's DomainError

@@ -312,12 +312,13 @@ def test_find_hte_bit_identical_to_the_loop_scan(p):
     ("d", (2.34, 2000.0), 60, True),
     *((name, (0.1 * getattr(P, name), 10.0 * getattr(P, name)), 40, True) for name in "gjpq"),
     ("l", (0.1 * P.l, 10.0 * P.l), 56, True),  # an exponent per lane
-], ids=["d-linear", "d-log", "g-log", "j-log", "p-log", "q-log", "l-log"])
+    ("d", (2.34, 2000.0), 5, True),  # a short sweep: 8 lanes
+], ids=["d-linear", "d-log", "g-log", "j-log", "p-log", "q-log", "l-log", "d-log-short"])
 def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, steps, log,
                                                          monkeypatch):
     lockstep = count_calls(monkeypatch, "equilibria._hte_roots")
     scan = bifurcation_scan(P, name, value_range, steps, log=log)
-    assert lockstep["equilibria._hte_roots"] == 1  # every case has >= _LOCKSTEP_LANES brackets
+    assert lockstep["equilibria._hte_roots"] == 1  # all brackets of a sweep, however few
     qs = [P.replace(**{name: float(v)}) for v in scan.values]
     oracle = {float(v): _find_hte_loop(q) for v, q in zip(scan.values, qs)}
     for v, q, eqs in zip(scan.values, qs, _find_hte_many(qs)):
@@ -414,13 +415,20 @@ def test_brentq_matches_scipy_on_every_hte_bracket_of_the_benchmark_sweeps(sweep
 
 
 def test_a_sweep_refines_its_roots_in_lockstep(monkeypatch):
-    calls = count_calls(monkeypatch, "equilibria.hte_residual", "equilibria._brentq")
+    calls = count_calls(monkeypatch, "equilibria.hte_residual", "equilibria._brentq",
+                        "equilibria._hte_roots")
     passes = _lockstep_passes(monkeypatch)
     bifurcation_scan(P, "d", (2.34, 2000.0), 200, log=True)
-    assert not calls
-    # one pass at the brackets' ends, then one per Brent step of the slowest lane
-    assert len(passes) == 12
+    assert calls == {"equilibria._hte_roots": 1}
+    # one pass at the brackets' ends, then one per Brent step of the slowest
+    # lane, then the state rebuild's pass at the 360 roots
+    assert len(passes) == 13
     assert len(passes[0]) == 2 * 360
+    assert len(passes[-1]) == 360
+    # a single parameter set takes the same path with its two brackets
+    calls.clear()
+    find_hte(P)
+    assert calls == {"equilibria._hte_roots": 1}
 
 
 def _rewrite_off_grid(monkeypatch, name, change):
@@ -454,7 +462,7 @@ def test_refinement_raises_what_the_scalar_path_raises(monkeypatch, name, change
     for call in (lambda: _find_hte_many(qs), lambda: find_hte(qs[0])):
         with pytest.raises(error, match=f"^{re.escape(str(ref.value))}$"):
             call()
-    assert lockstep["equilibria._hte_roots"] == 1
+    assert lockstep["equilibria._hte_roots"] == 2  # one per call
 
 
 def test_brentq_matches_scipy_on_the_transcritical_margin():
