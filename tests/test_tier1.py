@@ -1,8 +1,12 @@
 """The tier-1 command CI runs is the one ROADMAP.md documents, CI checks the
-benchmark's seeded input ranges, and it runs each benchmark workload once
-and checks its result line."""
+benchmark's seeded input ranges, and it runs each benchmark workload
+untraced and traced and checks each result line."""
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -22,30 +26,70 @@ def test_ci_runs_the_documented_tier1_command():
     assert ci == documented
 
 
-def _assert_ci_smoke_runs(workload):
-    """CI runs the workload once and fails unless its result line is correct
-    with no failed operation."""
-    bench = BENCH.replace("basin_bisection", workload)
+#: `python3` for CI's smoke step: `perfbench/run.py` appends its command line
+#: to $SMOKE_LOG and prints a result line with one failed operation for the
+#: run named by $SMOKE_FAIL ("workload trace"); anything else runs in Python.
+_FAKE_PYTHON = """
+import json, os, sys
+if sys.argv[1:2] != ["perfbench/run.py"]:
+    os.execv(sys.executable, [sys.executable] + sys.argv[1:])
+with open(os.environ["SMOKE_LOG"], "a") as log:
+    print("python3", *sys.argv[1:], file=log)
+args = sys.argv[2:]
+run = f"{args[args.index('--workload') + 1]} {args[args.index('--trace') + 1]}"
+print("a progress line")
+print(json.dumps({"correct": True, "failed": int(run == os.environ["SMOKE_FAIL"])}))
+"""
+
+
+def _run_ci_smoke_step(tmp_path, fail=""):
+    """Run CI's benchmark smoke step as CI runs a `shell: bash` step, in
+    tmp_path with `_FAKE_PYTHON` as `python3`; returns the finished process
+    and the benchmark commands it ran."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
-    steps = re.split(r"^      - ", workflow, flags=re.M)
-    found = [step for step in steps if bench in step]
-    assert len(found) == 1, workload
-    step = found[0]
+    steps = [step for step in re.split(r"^      - ", workflow, flags=re.M)
+             if "perfbench/run.py" in step]
+    assert len(steps) == 1
     # pipefail (shell: bash) so that a failing benchmark fails the step
-    assert re.search(r"^        shell: bash$", step, re.M)
-    assert f"{bench} | tail -n 1 > {workload}.json" in step
-    assert f'json.load(open("{workload}.json"))' in step
-    assert 'r["correct"] is True and r["failed"] == 0' in step
-    assert "sys.exit(0 if " in step
+    assert re.search(r"^        shell: bash$", steps[0], re.M)
+    script = textwrap.dedent(steps[0].split("run: |\n", 1)[1])
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir(exist_ok=True)
+    fake = bin_dir / "python3"
+    fake.write_text(f"#!{sys.executable}{_FAKE_PYTHON}")
+    fake.chmod(0o755)
+    log = tmp_path / "runs.log"
+    log.write_text("")
+    env = {**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+           "SMOKE_LOG": str(log), "SMOKE_FAIL": fail}
+    done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    return done, log.read_text().splitlines()
 
 
-def test_ci_runs_the_basin_bisection_benchmark_and_checks_it():
-    _assert_ci_smoke_runs("basin_bisection")
+def _assert_ci_smoke_runs(workload, tmp_path):
+    """CI runs the workload untraced and traced, and fails, naming the
+    workload and the trace mode, unless each result line is correct with no
+    failed operation."""
+    done, runs = _run_ci_smoke_step(tmp_path)
+    assert done.returncode == 0, done.stderr
+    want = [BENCH.replace("basin_bisection", w).replace("--trace 0", f"--trace {t}")
+            for w in WORKLOADS for t in "01"]
+    assert sorted(runs) == sorted(want)  # the same six runs
+    for trace, out in [("0", f"{workload}.json"), ("1", f"{workload}-traced.json")]:
+        assert json.loads((tmp_path / out).read_text()) == {"correct": True, "failed": 0}
+        failed, _ = _run_ci_smoke_step(tmp_path, fail=f"{workload} {trace}")
+        assert failed.returncode != 0
+        assert f"{workload} --trace {trace}: " in failed.stderr
+
+
+def test_ci_runs_the_basin_bisection_benchmark_and_checks_it(tmp_path):
+    _assert_ci_smoke_runs("basin_bisection", tmp_path)
 
 
 @pytest.mark.parametrize("workload", [w for w in WORKLOADS if w != "basin_bisection"])
-def test_ci_smoke_runs_the_other_workloads_and_checks_them(workload):
-    _assert_ci_smoke_runs(workload)
+def test_ci_smoke_runs_the_other_workloads_and_checks_them(workload, tmp_path):
+    _assert_ci_smoke_runs(workload, tmp_path)
 
 
 def test_ci_checks_the_benchmark_input_ranges():
