@@ -27,8 +27,10 @@ def test_ci_runs_the_documented_tier1_command():
 
 
 #: `python3` for CI's smoke step: `perfbench/run.py` appends its command line
-#: to $SMOKE_LOG and prints a result line with one failed operation for the
-#: run named by $SMOKE_FAIL ("workload trace"); anything else runs in Python.
+#: to $SMOKE_LOG, prints a progress line and a result line, and breaks the run
+#: named by $SMOKE_FAIL ("workload trace how"): "failed" reports one failed
+#: operation, "incorrect" reports `correct` false, and "crash" exits 1 before
+#: its result line.  Anything else runs in Python.
 _FAKE_PYTHON = """
 import json, os, sys
 if sys.argv[1:2] != ["perfbench/run.py"]:
@@ -37,9 +39,19 @@ with open(os.environ["SMOKE_LOG"], "a") as log:
     print("python3", *sys.argv[1:], file=log)
 args = sys.argv[2:]
 run = f"{args[args.index('--workload') + 1]} {args[args.index('--trace') + 1]}"
+broken, _, how = os.environ["SMOKE_FAIL"].rpartition(" ")
+how = how if run == broken else ""
 print("a progress line")
-print(json.dumps({"correct": True, "failed": int(run == os.environ["SMOKE_FAIL"])}))
+if how == "crash":
+    sys.exit(1)
+print(json.dumps({"correct": how != "incorrect", "failed": int(how == "failed")}))
 """
+
+#: How each workload's untraced and traced runs are broken: each way of
+#: failing meets both trace modes, and each run is broken once.
+_BREAKS = {"basin_bisection": ("failed", "incorrect"),
+           "case_report": ("crash", "failed"),
+           "bifurcation_sweep": ("incorrect", "crash")}
 
 
 def _run_ci_smoke_step(tmp_path, fail=""):
@@ -67,29 +79,32 @@ def _run_ci_smoke_step(tmp_path, fail=""):
     return done, log.read_text().splitlines()
 
 
-def _assert_ci_smoke_runs(workload, tmp_path):
-    """CI runs the workload untraced and traced, and fails, naming the
-    workload and the trace mode, unless each result line is correct with no
-    failed operation."""
+def _assert_ci_smoke_checks(workload, tmp_path):
+    """CI fails, naming the workload and the trace mode, when a run of the
+    workload crashes, or its result line is not correct or has a failed
+    operation."""
+    for trace, how in zip("01", _BREAKS[workload]):
+        failed, _ = _run_ci_smoke_step(tmp_path, fail=f"{workload} {trace} {how}")
+        assert failed.returncode != 0, how
+        assert f"{workload} --trace {trace}: " in failed.stderr, how
+
+
+def test_ci_runs_the_basin_bisection_benchmark_and_checks_it(tmp_path):
+    """CI runs each workload untraced and traced, with the same six commands
+    and result files as its six former steps, and checks basin_bisection's."""
     done, runs = _run_ci_smoke_step(tmp_path)
     assert done.returncode == 0, done.stderr
     want = [BENCH.replace("basin_bisection", w).replace("--trace 0", f"--trace {t}")
             for w in WORKLOADS for t in "01"]
-    assert sorted(runs) == sorted(want)  # the same six runs
-    for trace, out in [("0", f"{workload}.json"), ("1", f"{workload}-traced.json")]:
+    assert sorted(runs) == sorted(want)
+    for out in [f"{w}{suffix}.json" for w in WORKLOADS for suffix in ("", "-traced")]:
         assert json.loads((tmp_path / out).read_text()) == {"correct": True, "failed": 0}
-        failed, _ = _run_ci_smoke_step(tmp_path, fail=f"{workload} {trace}")
-        assert failed.returncode != 0
-        assert f"{workload} --trace {trace}: " in failed.stderr
-
-
-def test_ci_runs_the_basin_bisection_benchmark_and_checks_it(tmp_path):
-    _assert_ci_smoke_runs("basin_bisection", tmp_path)
+    _assert_ci_smoke_checks("basin_bisection", tmp_path)
 
 
 @pytest.mark.parametrize("workload", [w for w in WORKLOADS if w != "basin_bisection"])
 def test_ci_smoke_runs_the_other_workloads_and_checks_them(workload, tmp_path):
-    _assert_ci_smoke_runs(workload, tmp_path)
+    _assert_ci_smoke_checks(workload, tmp_path)
 
 
 def test_ci_checks_the_benchmark_input_ranges():
