@@ -25,9 +25,11 @@ as the oracle.  The full model's right-hand side is one kinetics call,
 Also provides the basin-of-attraction bisection on the initial tumor
 burden: runs are classified by which stable equilibrium they settle to,
 and a run stops as soon as it enters a region proven to lead to one of
-them (`_extinction_region`, `_escape_region`).  A scout bisection at a
-loose tolerance finds the final cell, and two runs at the caller's
-tolerance confirm it.
+them (`_extinction_region`, `_escape_region`).  A scout search at a
+loose tolerance finds the final cell of the bisection: the time each run
+takes to enter a region grows with the log of its distance to the
+boundary, so the runs' entry times predict where the cell lies.  Two runs
+at the caller's tolerance confirm it.
 """
 from __future__ import annotations
 
@@ -584,12 +586,15 @@ def dense_states(traj: Trajectory, times) -> np.ndarray:
 
 def stable_equilibria(params: ParameterSet) -> list[Equilibrium]:
     """All stable attracting points: the TFE (if stable) plus stable HTE."""
-    out = []
+    return _equilibria(params)[0]
+
+
+def _equilibria(params: ParameterSet) -> tuple[list[Equilibrium], list[Equilibrium]]:
+    """`stable_equilibria` and the unstable HTEs, from one `find_hte` call."""
     main, _ = tfe(params)
-    if main.stable:
-        out.append(main)
-    out.extend(e for e in find_hte(params) if e.stable)
-    return out
+    htes = find_hte(params)
+    return (([main] if main.stable else []) + [e for e in htes if e.stable],
+            [e for e in htes if not e.stable])
 
 
 def classify_attractor(y: np.ndarray, targets: list[Equilibrium],
@@ -823,14 +828,22 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
     if not targets:
         raise RuntimeError("no stable equilibria to classify against")
     y = y0.array() if isinstance(y0, State) else np.asarray(y0, dtype=float)
-    certificates = _certificates(params, float(y[3]), targets)
+    return _settle(y, params, cfg, targets, _certificates(params, float(y[3]), targets))[0]
+
+
+def _settle(y: np.ndarray, params: ParameterSet, cfg: IntegratorConfig,
+            targets: list[Equilibrium], certificates) -> tuple[str, Optional[float]]:
+    """`settle_attractor`'s run from the state `y`, with its `targets` and
+    their `_certificates` given: (label, tau), where tau is the time at which
+    the run entered a certified region (0 for a start inside one) and None
+    when the classifier decided."""
     stop = None
     if certificates:
         def stop(t, y):
             return max(inside(y) for _, _, inside in certificates)
 
         if stop(0.0, y) >= 0.0:
-            return _settled(*_entered(certificates, y), 0.0, 0, cfg.rtol)
+            return _settled(*_entered(certificates, y), 0.0, 0, cfg.rtol), 0.0
     fun, jac = _full_model(params)
     t0 = steps = 0
     for t_run, rule in ((cfg.t_end, "classifier at t_end"),
@@ -840,11 +853,12 @@ def settle_attractor(y0: State | np.ndarray, params: ParameterSet,
             raise IntegrationError(f"classification run failed: {stats.message}")
         steps += stats.steps
         if stats.status == 1:
-            return _settled(*_entered(certificates, y), t0 + t[-1], steps, cfg.rtol)
+            tau = t0 + float(t[-1])
+            return _settled(*_entered(certificates, y), tau, steps, cfg.rtol), tau
         t0 += t_run
         label = classify_attractor(y, targets)
         if label is not None:
-            return _settled(label, rule, t0, steps, cfg.rtol)
+            return _settled(label, rule, t0, steps, cfg.rtol), None
     raise RuntimeError(f"trajectory did not settle within 3x t_end; final {y}")
 
 
@@ -868,29 +882,35 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     Returns the high side of a <= 1 cell bracket: re-simulating at the
     returned value reaches the high-tumor attractor; one cell below
     falls to the tumor-free side.  Each run is labelled by
-    `settle_attractor`, so it stops where it enters a certified region
-    (about 29 days near the boundary with the default parameters, on
-    either side) instead of running 600 days; the regions are proven to
+    `settle_attractor`'s core, so it stops where it enters a certified
+    region (about 29 days near the boundary with the default parameters,
+    on either side) instead of running 600 days; the regions are proven to
     lead to the attractor they name, so the labels are those of the
-    classifier alone.
+    classifier alone.  The targets and certificates are built once, C0
+    being the same for every run.
 
     The search assumes the basin boundary is monotone in T(0) at fixed
     immune initial conditions: every T(0) below it takes one label, every
-    T(0) above it the other.  A scout bisection at rtol `_SCOUT_RTOL`
-    (same atol, targets and certificates) finds the final cell
-    (lo_f, hi_f), taking the TFE below and the HTE above the bracket
-    without running its ends; only lo_f and hi_f are then run at the
-    caller's tolerance.  If they settle to the TFE and the HTE,
-    monotonicity gives both bracket ends and every midpoint of the plain
-    bisection at the caller's tolerance the label the scout took, so that
-    bisection takes the scout's path and ends in the same cell: hi_f is
-    its result, bit for bit.  Otherwise (a scout run raises, the labels
-    are not confirmed, or the caller's rtol is already at least
-    `_SCOUT_RTOL`) the plain bisection runs at the caller's tolerance,
-    ends included, reusing the two runs already made.  Scout labels only
-    choose which runs to make; they never enter the result.  The cell,
-    the run counts and the way it was decided are logged to the "ticsp"
-    logger at DEBUG.
+    T(0) above it the other.  A scout search at rtol `_SCOUT_RTOL` (same
+    atol, targets and certificates) finds the final cell (lo_f, hi_f) of
+    the scout bisection, taking the TFE below and the HTE above the
+    bracket without running its ends (`_scout_cell`: the runs' entry times
+    predict the boundary, so about 7 runs replace 13 on a 2**13-cell
+    bracket); only lo_f and hi_f are then run at the caller's tolerance.
+    If they settle to the TFE and the HTE, monotonicity gives both bracket
+    ends and every midpoint of the plain bisection at the caller's
+    tolerance the label the scout took, so that bisection takes the
+    scout's path and ends in the same cell: hi_f is its result, bit for
+    bit.  If both settle to one side, the boundary at the caller's
+    tolerance is usually just past the cell, and one more full run, at
+    the far end of the neighbouring leaf of the bisection tree, confirms
+    that leaf the same way.  Otherwise (a scout run raises, the labels are
+    not confirmed, or the caller's rtol is already at least `_SCOUT_RTOL`)
+    the plain bisection runs at the caller's tolerance, ends included,
+    reusing the full runs already made.  Scout labels only choose which
+    runs to make; they never enter the result.  The cell, the scout cell,
+    the run counts and the way the cell was decided are logged to the
+    "ticsp" logger at DEBUG.
 
     Raises ValueError before any run for a negative or non-finite N0, L0
     or C0, for a bracket that is not 0 < low < high < inf and for
@@ -905,51 +925,166 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     if not 0.0 < lo < hi < np.inf:
         raise ValueError(f"T_bracket must satisfy 0 < low < high < inf, got {T_bracket}")
     cfg = config or IntegratorConfig()
-    targets = stable_equilibria(params)
+    targets, saddles = _equilibria(params)
     kinds = sorted({eq.kind for eq in targets})
     if len(kinds) < 2:
         found = f"the {kinds[0]}" if kinds else "none"
         raise ValueError(f"no bracket separates two basins: the only stable "
                          f"equilibrium of these parameters is {found}")
+    certificates = _certificates(params, C0, targets)
+    rate = float(saddles[0].eigenvalues.real.max()) if len(saddles) == 1 else None
     scout_cfg = replace(cfg, rtol=_SCOUT_RTOL)
-    scouted = 0
-    full = {}   # label of each run at the caller's tolerance, by T0
+    scouted = [0, 0]    # scout runs at midpoints, and where the prediction led
+    full = {}           # label of each run at the caller's tolerance, by T0
 
-    def scout(T0: float) -> str:
-        nonlocal scouted
-        scouted += 1
-        return settle_attractor(np.array([T0, N0, L0, C0]), params, scout_cfg, targets)
+    def settle(T0: float, run_cfg: IntegratorConfig) -> tuple[str, Optional[float]]:
+        return _settle(np.array([T0, N0, L0, C0]), params, run_cfg, targets, certificates)
+
+    def scout(T0: float, predicted: bool) -> tuple[str, Optional[float]]:
+        scouted[predicted] += 1
+        return settle(T0, scout_cfg)
 
     def run(T0: float) -> str:
         if T0 not in full:
-            full[T0] = settle_attractor(np.array([T0, N0, L0, C0]), params, cfg, targets)
+            full[T0] = settle(T0, cfg)[0]
         return full[T0]
 
-    confirmed = False
+    confirmed = neighbour = False
+    cell = None
     if cfg.rtol < _SCOUT_RTOL:
         try:
-            lo_f, hi_f = _bisect(scout, lo, hi, 1.0, ends=("TFE", "HTE"))
+            cell = _scout_cell(scout, lo, hi, rate)
         except (RuntimeError, ValueError):
             pass
         else:
+            lo_f, hi_f = cell
+            if lo < lo_f and run(lo_f) == "HTE":
+                neighbour = True
+                lo_f, hi_f = _bisect(lambda m: m < cell[0], lo, hi, 1.0, ends=(True, False))
+            elif hi_f < hi and run(lo_f) == "TFE" and run(hi_f) == "TFE":
+                neighbour = True
+                lo_f, hi_f = _bisect(lambda m: m <= cell[1], lo, hi, 1.0, ends=(True, False))
             confirmed = run(lo_f) == "TFE" and run(hi_f) == "HTE"
     if not confirmed:
         lo_f, hi_f = _bisect(run, lo, hi, 1.0)
     if _LOGGER.isEnabledFor(logging.DEBUG):
-        _LOGGER.debug("threshold: cell (%r, %r] %s after %d scout runs and %d full runs",
+        _LOGGER.debug("threshold: cell (%r, %r] %s after %d scout runs (%d predicted, "
+                      "%d midpoints) and %d full runs; scout cell %s, %s",
                       lo_f, hi_f, "confirmed" if confirmed else "by plain bisection",
-                      scouted, len(full))
+                      sum(scouted), scouted[1], scouted[0], len(full),
+                      "none" if cell is None else "(%r, %r]" % cell,
+                      "neighbour step" if neighbour else "no neighbour step")
     return hi_f
+
+
+def _scout_cell(scout: Callable[[float, bool], tuple[str, Optional[float]]],
+                lo: float, hi: float, rate: Optional[float]) -> tuple[float, float]:
+    """The final cell of the scout bisection of (lo, hi), with the TFE
+    below and the HTE above, from fewer runs than the bisection makes.
+
+    `scout(T0, predicted)` makes one run and returns its label and entry
+    time (`_settle`).  By monotonicity, each run decides every T0 at or
+    below the highest TFE run and at or above the lowest HTE run.  Each
+    round `_bisect` walks the bisection tree down while those runs decide
+    the midpoint, and stops at the cell whose midpoint is undecided.  There
+    the log law predicts the boundary (`_predict`), `_bisect` finds the
+    leaf of the tree that holds the prediction, and the next run is at the
+    undecided end of that leaf nearest the prediction.  With no
+    prediction, or no undecided end, it is at the midpoint.  The final
+    cell needs a run at each of its ends, so a leaf end beats any other
+    point once the prediction is good to a cell.
+
+    A midpoint run always lets the walk descend a level.  A predicted run
+    that does not is a miss; after log2(hi - lo) misses every run is a
+    midpoint, so no bracket takes more than twice the bisection's runs.  A
+    miss still lands near the boundary and sharpens the next prediction,
+    which is why a miss does not end the predictions at once.
+
+    While no run has crossed to a bracket end's label, a prediction past
+    that end runs the end (once): a bracket that does not hold the boundary
+    then fails after a few runs.  The search raises ValueError if the end
+    does not take the label assumed for it.
+    """
+    runs = {}                   # (label, entry time) of each run, by T0
+    tfe, hte = lo, hi           # the highest TFE and the lowest HTE run so far
+    last, misses = None, 0
+
+    def decided(T0: float) -> Optional[str]:
+        return "TFE" if T0 <= tfe else "HTE" if T0 >= hte else None
+
+    while True:
+        cell = _bisect(decided, lo, hi, 1.0, ends=("TFE", "HTE"))
+        if cell[1] - cell[0] <= 1.0:
+            return cell
+        misses += cell == last
+        guess = _predict(runs, rate) if misses < math.log2(hi - lo) else None
+        last = cell
+        T0 = mid = 0.5 * (cell[0] + cell[1])
+        if guess is None:
+            pass
+        elif guess >= hi == hte and hi not in runs:
+            T0 = hi
+        elif guess <= lo == tfe and lo not in runs:
+            T0 = lo
+        else:
+            leaf = _bisect(lambda m: m < guess, *cell, 1.0, ends=(True, False))
+            ends = [e for e in leaf if decided(e) is None]
+            if ends:
+                T0 = min(ends, key=lambda e: abs(e - guess))
+        label, tau = runs[T0] = scout(T0, T0 != mid)
+        if T0 in (lo, hi) and label != decided(T0):
+            raise ValueError(f"the scout run at the bracket end {T0!r} settles to the {label}")
+        if label == "TFE":
+            tfe = max(tfe, T0)
+        else:
+            hte = min(hte, T0)
+
+
+def _predict(runs: dict, rate: Optional[float]) -> Optional[float]:
+    """The boundary θ predicted by the log law of the entry times, or None.
+
+    A run from T0 near θ follows the saddle HTE's unstable manifold for a
+    time that grows as ln|T0 - θ| shrinks: ln|T0 - θ| = c - λ tau, with
+    tau the time the run enters a certified region (edge tracking; Skufca,
+    Yorke and Eckhardt, Phys. Rev. Lett. 96 (2006) 174101).  On each side
+    the runs that a certificate decided with tau > 0 are taken nearest the
+    boundary first; tau must grow toward it.  Three runs fit λ, c and θ;
+    two, or three that no λ in [1e-3, 10] per day fits, take λ = `rate`,
+    the saddle's unstable eigenvalue (0.702 per day with the default
+    parameters), for the nearest two.  The side whose nearest run entered
+    latest, so lies closest to θ, gives the prediction.
+    """
+    guesses = []
+    for label, sign in (("TFE", -1.0), ("HTE", 1.0)):
+        side = sorted(((T0, tau) for T0, (got, tau) in runs.items() if got == label and tau),
+                      key=lambda run: sign * run[0])[:3]
+        if len(side) < 2 or any(a[1] <= b[1] for a, b in zip(side, side[1:])):
+            continue
+        (T1, t1), (T2, t2) = side[:2]
+        lam, d12 = rate, t1 - t2
+        if len(side) == 3:
+            # the points (exp(-λ tau), T0) lie on one line: solve for λ
+            ratio = (T1 - T2) / (T2 - side[2][0])
+            d23 = t2 - side[2][1]
+            try:
+                lam = _brentq(lambda x: math.expm1(-x * d12) * math.exp(-x * d23)
+                              / math.expm1(-x * d23) - ratio, 1e-3, 10.0, 1e-9, 1e-9)
+            except ValueError:
+                pass
+        if lam is not None:
+            guesses.append((t1, T1 + (T1 - T2) * math.exp(-lam * d12) / -math.expm1(-lam * d12)))
+    return max(guesses)[1] if guesses else None
 
 
 def _bisect(label: Callable[[float], object], lo: float, hi: float, width: float,
             ends: Optional[tuple] = None) -> tuple[float, float]:
     """Bisect (lo, hi) on the two-valued `label` down to a cell no wider
     than `width`; returns the final cell (lo_f, hi_f).  Each midpoint
-    taking lo's label replaces lo, any other replaces hi.  `ends`, the
-    labels of lo and hi, are taken as given and `label` is called only at
-    midpoints; without them both ends are labelled first, and raise
-    ValueError if they take the same label."""
+    taking lo's label replaces lo, any other replaces hi; a midpoint that
+    `label` returns None for stops the walk there, and that cell is
+    returned.  `ends`, the labels of lo and hi, are taken as given and
+    `label` is called only at midpoints; without them both ends are
+    labelled first, and raise ValueError if they take the same label."""
     if ends is None:
         ends = label(lo), label(hi)
         if ends[0] == ends[1]:
@@ -959,7 +1094,10 @@ def _bisect(label: Callable[[float], object], lo: float, hi: float, width: float
             )
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if label(mid) == ends[0]:
+        side = label(mid)
+        if side is None:
+            break
+        if side == ends[0]:
             lo = mid
         else:
             hi = mid

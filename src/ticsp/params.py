@@ -7,7 +7,6 @@ may be overridden, e.g. ``ParameterSet(d=1.5)`` or
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import numbers
@@ -55,15 +54,19 @@ class ParameterSet:
 
     def __post_init__(self):
         for name in PARAMETER_NAMES:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"parameter {name!r} must be positive and finite, got {value!r}"
-                )
+            _check(name, getattr(self, name))
 
     def replace(self, **changes) -> "ParameterSet":
-        """Return a copy with the named constants replaced."""
-        return dataclasses.replace(self, **changes)
+        """Return a copy with the named constants replaced: `dataclasses.replace`,
+        checking only the changed values."""
+        for name, value in changes.items():
+            if name not in _FIELDS:
+                raise TypeError(f"{type(self).__name__}.replace() got an unexpected "
+                                f"keyword argument {name!r}")
+            _check(name, value)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        return new
 
     def scaled(self, name: str, factor: float) -> "ParameterSet":
         """Return a copy with one constant multiplied by `factor`."""
@@ -94,6 +97,14 @@ class ParameterSet:
             return cls.from_dict(data)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: {exc.args[0]}") from None
+
+
+_FIELDS = frozenset(PARAMETER_NAMES)
+
+
+def _check(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"parameter {name!r} must be positive and finite, got {value!r}")
 
 
 #: Patient-9 calibration (the package default).

@@ -298,7 +298,7 @@ def test_threshold_rejects_impossible_immune_state(argv, name, tmp_path, capsys)
 def test_threshold_refuses_parameters_with_one_stable_equilibrium(d, kind, tmp_path,
                                                                   capsys, monkeypatch):
     # No bracket separates two basins, so no run is made.
-    calls = count_calls(monkeypatch, "integrator.settle_attractor")
+    calls = count_calls(monkeypatch, "integrator._settle")
     path = tmp_path / "params.json"
     path.write_text(json.dumps({**P.to_dict(), "d": d}))
     out = tmp_path / "thr"
@@ -311,7 +311,7 @@ def test_threshold_refuses_parameters_with_one_stable_equilibrium(d, kind, tmp_p
 
 
 def test_threshold_rejects_infinite_bracket(tmp_path, capsys, monkeypatch):
-    calls = count_calls(monkeypatch, "integrator.settle_attractor")
+    calls = count_calls(monkeypatch, "integrator._settle")
     out = tmp_path / "thr"
     assert run_cli("threshold", "--bracket", 319000, "inf", "--out", out) == 1
     err = capsys.readouterr().err.splitlines()

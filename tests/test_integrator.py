@@ -1,6 +1,7 @@
 """Integration, dense evaluation, and basin bisection."""
 import functools
 import logging
+import math
 import warnings
 
 import numpy as np
@@ -768,28 +769,71 @@ THRESHOLD_CASES = [
 ]
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("immune, params, bracket, expected", THRESHOLD_CASES)
-def test_basin_threshold_is_the_plain_bisection_bit_for_bit(immune, params, bracket,
-                                                             expected):
-    assert basin_threshold(*immune, params, bracket).hex() == expected
-
-
 def _settle_runs(monkeypatch, fail_scout_run=None):
     """Record the rtol of every settle run `basin_threshold` makes; the
     scout run numbered `fail_scout_run` (from 1) raises instead."""
     rtols = []
-    original = integrator.settle_attractor
+    original = integrator._settle
 
-    def recorded(y0, params, config, targets):
+    def recorded(y, params, config, targets, certificates):
         rtols.append(config.rtol)
         if (config.rtol == integrator._SCOUT_RTOL
                 and rtols.count(config.rtol) == fail_scout_run):
             raise IntegrationError("scout run failed")
-        return original(y0, params, config, targets)
+        return original(y, params, config, targets, certificates)
 
-    monkeypatch.setattr(integrator, "settle_attractor", recorded)
+    monkeypatch.setattr(integrator, "_settle", recorded)
     return rtols
+
+
+_THRESHOLDS = {}
+
+
+def _threshold(immune, params, bracket):
+    """`basin_threshold`'s result and its number of scout runs, computed
+    once per case for the tests below."""
+    key = (immune, params, bracket)
+    if key not in _THRESHOLDS:
+        with pytest.MonkeyPatch.context() as mp:
+            rtols = _settle_runs(mp)
+            value = basin_threshold(*immune, params, bracket)
+        _THRESHOLDS[key] = value, rtols.count(integrator._SCOUT_RTOL)
+    return _THRESHOLDS[key]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("immune, params, bracket, expected", THRESHOLD_CASES)
+def test_basin_threshold_is_the_plain_bisection_bit_for_bit(immune, params, bracket,
+                                                             expected):
+    assert _threshold(immune, params, bracket)[0].hex() == expected
+
+
+@pytest.mark.slow
+def test_basin_threshold_predicts_the_scout_cell():
+    # The plain scout bisection makes 13 runs on each seeded bracket, 10 on
+    # the CLI bracket and 20 on (1e5, 1e6).
+    seeded = [_threshold(IMMUNE, P, bracket)[1] for bracket in _seeded_brackets()]
+    assert np.mean(seeded) <= 8.5 and max(seeded) <= 13, seeded
+    assert _threshold(IMMUNE, P, CLI_BRACKET)[1] <= 7
+    assert _threshold(IMMUNE, P, (1e5, 1e6))[1] <= 12
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("garbage", ["low end", "high end", "nan", "far"])
+def test_the_prediction_only_steers_the_scout_runs(garbage, monkeypatch):
+    # With the prediction wrong, the threshold keeps its bits, and a bracket
+    # takes at most twice the plain scout bisection's runs.
+    cases = [(CLI_BRACKET, "0x1.37e8638000000p+18", 10)] + [
+        (bracket, expected, 13)
+        for bracket, expected in list(zip(_seeded_brackets(), _SEEDED_THRESHOLDS))[:3]]
+    for bracket, expected, halvings in cases:
+        value = {"low end": bracket[0], "high end": bracket[1], "nan": np.nan,
+                 "far": 1e12}[garbage]
+        with monkeypatch.context() as mp:
+            mp.setattr(integrator, "_predict", lambda runs, rate: value)
+            rtols = _settle_runs(mp)
+            assert basin_threshold(*IMMUNE, P, bracket).hex() == expected
+        assert rtols.count(integrator._SCOUT_RTOL) <= 2 * halvings, (bracket, rtols)
 
 
 def _threshold_lines(caplog):
@@ -799,17 +843,33 @@ def _threshold_lines(caplog):
 def test_basin_threshold_confirms_the_scout_cell_with_two_full_runs(monkeypatch):
     rtols = _settle_runs(monkeypatch)
     assert basin_threshold(*IMMUNE, P, CLI_BRACKET).hex() == "0x1.37e8638000000p+18"
-    assert rtols == [integrator._SCOUT_RTOL] * 10 + [1e-8] * 2
+    assert rtols == [integrator._SCOUT_RTOL] * 6 + [1e-8] * 2
 
 
 def test_basin_threshold_logs_its_cell_and_runs(caplog):
     with caplog.at_level(logging.DEBUG, logger="ticsp"):
         basin_threshold(*IMMUNE, P, CLI_BRACKET)
     assert _threshold_lines(caplog) == [
-        "threshold: cell (319392.578125, 319393.5546875] confirmed after 10 scout runs "
-        "and 2 full runs"]
+        "threshold: cell (319392.578125, 319393.5546875] confirmed after 6 scout runs "
+        "(3 predicted, 3 midpoints) and 2 full runs; scout cell (319392.578125, "
+        "319393.5546875], no neighbour step"]
     settles = [r.getMessage() for r in caplog.records if r.getMessage().startswith("settle")]
-    assert [m.rsplit(", ", 1)[1] for m in settles] == ["rtol 3e-05"] * 10 + ["rtol 1e-08"] * 2
+    assert [m.rsplit(", ", 1)[1] for m in settles] == ["rtol 3e-05"] * 6 + ["rtol 1e-08"] * 2
+
+
+def test_basin_threshold_takes_one_neighbour_step(monkeypatch, caplog):
+    # A benchmark bracket whose scout cell ends between the boundary at
+    # rtol 3e-5 (319392.6465) and at 1e-8 (319392.6296): its low end settles
+    # to the HTE at 1e-8, and the far end of the leaf below to the TFE.
+    rtols = _settle_runs(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="ticsp"):
+        value = basin_threshold(*IMMUNE, P, (317765.86462426867, 322030.33278392896))
+    assert value.hex() == "0x1.37e82854007c2p+18"   # the plain bisection's, at 1e-8
+    assert rtols.count(1e-8) == 2
+    assert _threshold_lines(caplog) == [
+        "threshold: cell (319392.1095621078, 319392.6301270687] confirmed after 6 scout "
+        "runs (3 predicted, 3 midpoints) and 2 full runs; scout cell (319392.6301270687, "
+        "319393.1506920296], neighbour step"]
 
 
 def test_threshold_log_costs_nothing_when_off(monkeypatch):
@@ -831,19 +891,20 @@ def test_basin_threshold_falls_back_when_a_scout_run_raises(monkeypatch, caplog)
     assert rtols == [integrator._SCOUT_RTOL] * 4 + [1e-8] * 12
     assert _threshold_lines(caplog) == [
         "threshold: cell (319392.578125, 319393.5546875] by plain bisection after 4 scout "
-        "runs and 12 full runs"]
+        "runs (1 predicted, 3 midpoints) and 12 full runs; scout cell none, no neighbour step"]
 
 
 @pytest.mark.slow
 def test_basin_threshold_falls_back_from_a_loose_scout(monkeypatch, caplog):
-    # At rtol 1e-3 the scout's cell is off by about a cell; the two full
-    # runs do not confirm it, and the plain bisection gives the threshold.
+    # At rtol 1e-3 the scout's cell is two cells off; neither it nor the
+    # leaf below it is confirmed, and the plain bisection gives the threshold.
     monkeypatch.setattr(integrator, "_SCOUT_RTOL", 1e-3)
     with caplog.at_level(logging.DEBUG, logger="ticsp"):
         assert basin_threshold(*IMMUNE, P, (3.1e5, 3.3e5)).hex() == "0x1.37e82cd000000p+18"
     assert _threshold_lines(caplog) == [
-        "threshold: cell (319392.08984375, 319392.7001953125] by plain bisection after 15 "
-        "scout runs and 17 full runs"]
+        "threshold: cell (319392.08984375, 319392.7001953125] by plain bisection after 9 "
+        "scout runs (5 predicted, 4 midpoints) and 17 full runs; scout cell "
+        "(319393.310546875, 319393.9208984375], neighbour step"]
 
 
 def test_basin_threshold_within_one_cell_makes_two_full_runs_and_no_scout(monkeypatch):
@@ -853,15 +914,15 @@ def test_basin_threshold_within_one_cell_makes_two_full_runs_and_no_scout(monkey
 
 
 def test_basin_threshold_one_sided_bracket_still_raises(monkeypatch, caplog):
-    # The scout takes the TFE below and the HTE above and finds a cell at the
-    # top; the full run there settles to the TFE, so the plain bisection runs
-    # both ends and raises.
+    # Every scout run settles to the TFE and the prediction lies above the
+    # bracket, so the scout runs the top end; it settles to the TFE too, and
+    # the plain bisection runs both ends and raises.
     rtols = _settle_runs(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="ticsp"), \
             pytest.raises(ValueError, match=r"^bracket endpoints classify to the same "
                                             r"attractor \(TFE\); widen the bracket$"):
         basin_threshold(*IMMUNE, P, (1e5, 2e5))
-    assert rtols[-2:] == [1e-8] * 2 and rtols.count(1e-8) == 3
+    assert rtols == [integrator._SCOUT_RTOL] * 3 + [1e-8] * 2
     assert not _threshold_lines(caplog)
 
 
@@ -879,12 +940,55 @@ def test_basin_threshold_needs_its_confirmation(monkeypatch):
     assert basin_threshold(*IMMUNE, P, (3.1e5, 3.3e5)).hex() == "0x1.37e82cd000000p+18"
 
 
+def test_settle_core_reports_the_certified_entry_time(attractors):
+    cfg = IntegratorConfig()
+    certificates = integrator._certificates(P, 6e8, attractors)
+    label, tau = integrator._settle(np.array([319392.0, *IMMUNE]), P, cfg, attractors,
+                                    certificates)
+    assert label == "TFE" and round(tau, 4) == 27.9832   # as its settle line logs
+    assert integrator._settle(np.array([1e-3, *IMMUNE]), P, cfg, attractors,
+                              certificates) == ("TFE", 0.0)
+    # the classifier decides: no entry time
+    assert integrator._settle(np.array([1e6, *IMMUNE]), P, cfg, attractors, []) == ("HTE", None)
+
+
+def _log_law_runs(theta, side, lam, taus, c=12.0):
+    """Runs that follow ln|T0 - theta| = c - lam tau exactly."""
+    sign = 1.0 if side == "HTE" else -1.0
+    return {theta + sign * math.exp(c - lam * tau): (side, tau) for tau in taus}
+
+
+def test_predict_inverts_the_log_law():
+    theta = 319392.5
+    # three runs of one side fit the rate; two take the saddle's
+    three = _log_law_runs(theta, "TFE", 0.55, [15.0, 18.0, 20.0])
+    assert integrator._predict(three, None) == pytest.approx(theta, abs=1e-6)
+    assert integrator._predict(three, 0.7) == pytest.approx(theta, abs=1e-6)
+    two = _log_law_runs(theta, "HTE", 0.7, [15.0, 18.0])
+    assert integrator._predict(two, 0.7) == pytest.approx(theta, abs=1e-6)
+    assert integrator._predict(two, None) is None
+    # only runs a certificate decided after the start count
+    assert integrator._predict({**two, 3e5: ("TFE", None), 2e5: ("TFE", 0.0)}, None) is None
+    # the entry times must grow toward the boundary
+    assert integrator._predict({**two, theta + 1.0: ("HTE", 10.0)}, 0.7) is None
+    # the side whose nearest run entered latest gives the prediction
+    far = _log_law_runs(theta + 10.0, "HTE", 0.7, [10.0, 12.0])
+    assert integrator._predict({**far, **three}, 0.7) == pytest.approx(theta, abs=1e-6)
+
+
 def test_bisect_with_given_ends_labels_only_midpoints():
     calls = []
     label = lambda t: calls.append(t) or t > 1.3
     lo, hi = integrator._bisect(label, 1.0, 2.0, 1e-3, ends=(False, True))
     assert lo < 1.3 <= hi
     assert calls and all(1.0 < t < 2.0 for t in calls)
+
+
+def test_bisect_stops_where_the_label_is_none():
+    calls = []
+    label = lambda t: calls.append(t) or (True if t < 1.3 else False if t > 1.4 else None)
+    assert integrator._bisect(label, 1.0, 2.0, 1e-3, ends=(True, False)) == (1.25, 1.5)
+    assert calls == [1.5, 1.25, 1.375]
 
 
 def test_bisect_stops_at_the_given_width():
@@ -911,7 +1015,7 @@ def test_basin_threshold_rejects_same_side():
 
 @pytest.mark.parametrize("d, kind", [(0.1, "HTE"), (3000.0, "TFE")])
 def test_basin_threshold_needs_two_stable_equilibria_before_any_run(d, kind, monkeypatch):
-    calls = count_calls(monkeypatch, "integrator.settle_attractor")
+    calls = count_calls(monkeypatch, "integrator._settle")
     with pytest.raises(ValueError, match="^no bracket separates two basins: the only stable "
                                          f"equilibrium of these parameters is the {kind}$"):
         basin_threshold(*IMMUNE, P.replace(d=d), (1e5, 1e6))
@@ -927,8 +1031,7 @@ def test_basin_threshold_rejects_bad_bracket():
 @pytest.mark.parametrize("name", ["N0", "L0", "C0"])
 def test_basin_threshold_rejects_impossible_immune_state_before_any_run(
         name, bad, monkeypatch):
-    calls = count_calls(monkeypatch, "integrator.stable_equilibria",
-                        "integrator.settle_attractor")
+    calls = count_calls(monkeypatch, "integrator.find_hte", "integrator._settle")
     immune = {"N0": 1e3, "L0": 1e1, "C0": 6e8, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite"):
         basin_threshold(immune["N0"], immune["L0"], immune["C0"], P, (319000.0, 320000.0))
@@ -938,8 +1041,7 @@ def test_basin_threshold_rejects_impossible_immune_state_before_any_run(
 @pytest.mark.parametrize("bracket", [(319000.0, np.inf), (np.nan, 320000.0),
                                      (319000.0, np.nan), (0.0, 1e6), (1e6, 1e6)])
 def test_basin_threshold_rejects_bad_bracket_before_any_run(bracket, monkeypatch):
-    calls = count_calls(monkeypatch, "integrator.stable_equilibria",
-                        "integrator.settle_attractor")
+    calls = count_calls(monkeypatch, "integrator.find_hte", "integrator._settle")
     with pytest.raises(ValueError, match="^T_bracket must satisfy"):
         basin_threshold(1e3, 1e1, 6e8, P, bracket)
     assert not calls

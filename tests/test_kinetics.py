@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -47,6 +48,23 @@ def test_parameter_set_rejects_nonpositive_and_unknown():
         ParameterSet.from_dict({"a": 0.4, "zz": 1.0})
     # missing keys fall back to defaults
     assert ParameterSet.from_dict({"d": 1.0}).m == P.m
+
+
+def test_replace_is_dataclasses_replace_with_its_errors():
+    changed = P.replace(d=1.5, q=2e-6)
+    assert changed == dataclasses.replace(P, d=1.5, q=2e-6)
+    assert hash(changed) == hash(dataclasses.replace(P, d=1.5, q=2e-6))
+    assert type(changed) is ParameterSet and P.d == 2.34
+    assert P.replace() == P and P.scaled("e", 2.0).e == 2.0 * P.e
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError) as replaced:
+            P.replace(d=bad)
+        with pytest.raises(ValueError) as built:
+            ParameterSet(d=bad)
+        assert str(replaced.value) == str(built.value)
+        assert str(replaced.value).startswith("parameter 'd' must be positive and finite")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'zz'"):
+        P.replace(zz=1.0)
 
 
 def test_reference_rate_values():
