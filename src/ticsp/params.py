@@ -60,7 +60,7 @@ class ParameterSet:
         """Return a copy with the named constants replaced: `dataclasses.replace`,
         checking only the changed values."""
         for name, value in changes.items():
-            if name not in _FIELDS:
+            if name not in PARAMETER_NAMES:
                 raise TypeError(f"{type(self).__name__}.replace() got an unexpected "
                                 f"keyword argument {name!r}")
             _check(name, value)
@@ -97,9 +97,6 @@ class ParameterSet:
             return cls.from_dict(data)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: {exc.args[0]}") from None
-
-
-_FIELDS = frozenset(PARAMETER_NAMES)
 
 
 def _check(name: str, value) -> None:

@@ -12,7 +12,7 @@ from scipy.integrate._ivp import ivp as scipy_ivp
 from scipy.integrate._ivp import radau as scipy_radau
 from scipy.linalg import lu_factor, lu_solve
 
-from ticsp import DEFAULT_PARAMETERS, State, integrator
+from ticsp import DEFAULT_PARAMETERS, State, integrator, radau
 from ticsp.harness import SCENARIOS
 from ticsp.integrator import (
     IntegrationError,
@@ -142,15 +142,15 @@ def test_initial_state_requires_positive_tumor():
                                 "NEWTON_MAXITER", "MIN_FACTOR", "MAX_FACTOR")),
 ])
 def test_radau_constants_are_scipys(ours, name):
-    ours, ref = getattr(integrator, ours), getattr(scipy_radau, name)
+    ours, ref = getattr(radau, ours), getattr(scipy_radau, name)
     assert type(ours) is type(ref)
     assert np.asarray(ours).dtype == np.asarray(ref).dtype
     assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_solver_messages_and_eps_are_scipys():
-    assert integrator.MESSAGES == scipy_ivp.MESSAGES
-    assert integrator.EPS.tobytes() == scipy_common.EPS.tobytes()
+    assert radau.MESSAGES == scipy_ivp.MESSAGES
+    assert radau.EPS.tobytes() == scipy_common.EPS.tobytes()
 
 
 def _solver_records():
