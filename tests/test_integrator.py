@@ -819,6 +819,21 @@ def test_basin_threshold_predicts_the_scout_cell():
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("bracket", [CLI_BRACKET, (1e5, 1e6), *_seeded_brackets()[:3]],
+                         ids=["cli", "criterion-04", "seeded-0", "seeded-1", "seeded-2"])
+def test_the_scout_search_ends_in_the_scout_bisections_cell(bracket, attractors):
+    cfg = IntegratorConfig(rtol=integrator._SCOUT_RTOL)
+    certificates = integrator._certificates(P, IMMUNE[2], attractors)
+    (saddle,) = integrator._equilibria(P)[1]
+
+    def scout(T0, predicted=False):
+        return integrator._settle(np.array([T0, *IMMUNE]), P, cfg, attractors, certificates)
+
+    plain = integrator._bisect(lambda T0: scout(T0)[0], *bracket, 1.0, ends=("TFE", "HTE"))
+    assert integrator._scout_cell(scout, *bracket, saddle.eigenvalues.real.max()) == plain
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("garbage", ["low end", "high end", "nan", "far"])
 def test_the_prediction_only_steers_the_scout_runs(garbage, monkeypatch):
     # With the prediction wrong, the threshold keeps its bits, and a bracket
