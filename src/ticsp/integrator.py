@@ -24,8 +24,9 @@ and a run stops as soon as it enters a region proven to lead to one of
 them (`_extinction_region`, `_escape_region`).  A scout search at a
 loose tolerance finds the final cell of the bisection: the time each run
 takes to enter a region grows with the log of its distance to the
-boundary, so the runs' entry times predict where the cell lies.  Two runs
-at the caller's tolerance confirm it.
+boundary, so the runs' entry times predict where the cell lies.  Runs at
+the caller's tolerance at its ends usually decide every label of the plain
+bisection at that tolerance, whose cell is the result.
 """
 from __future__ import annotations
 
@@ -555,32 +556,31 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
 
     The search assumes the basin boundary is monotone in T(0) at fixed
     immune initial conditions: every T(0) below it takes one label, every
-    T(0) above it the other.  A scout search at rtol `_SCOUT_RTOL` (same
-    atol, targets and certificates) finds the final cell (lo_f, hi_f) of
-    the scout bisection, taking the TFE below and the HTE above the
-    bracket without running its ends (`_scout_cell`: the runs' entry times
-    predict the boundary, so about 7 runs replace 13 on a 2**13-cell
-    bracket); only lo_f and hi_f are then run at the caller's tolerance.
-    If they settle to the TFE and the HTE, monotonicity gives both bracket
-    ends and every midpoint of the plain bisection at the caller's
-    tolerance the label the scout took, so that bisection takes the
-    scout's path and ends in the same cell: hi_f is its result, bit for
-    bit.  If both settle to one side, the boundary at the caller's
-    tolerance is usually just past the cell, and one more full run, at
-    the far end of the neighbouring leaf of the bisection tree, confirms
-    that leaf the same way.  Otherwise (a scout run raises, the labels are
-    not confirmed, or the caller's rtol is already at least `_SCOUT_RTOL`)
-    the plain bisection runs at the caller's tolerance, ends included,
-    reusing the full runs already made.  Scout labels only choose which
-    runs to make; they never enter the result.  The cell, the scout cell,
-    the run counts and the way the cell was decided are logged to the
-    "ticsp" logger at DEBUG.
+    T(0) above it the other.  So a run at the caller's tolerance decides
+    every T0 at or below the highest TFE run and at or above the lowest
+    HTE run.  The result is the plain bisection at the caller's tolerance,
+    ends included, whose labels make a run only where the runs so far do
+    not decide them.  A scout search at rtol `_SCOUT_RTOL` (same atol,
+    targets and certificates) picks the runs made first: it finds the
+    final cell of the scout bisection, taking the TFE below and the HTE
+    above the bracket without running its ends (`_scout_cell`: the runs'
+    entry times predict the boundary, so about 7 runs replace 13 on a
+    2**13-cell bracket).  The cell's ends are run, and, if both settle to
+    one side, the far end of the neighbouring leaf of the bisection tree,
+    as the boundary at the caller's tolerance usually lies just past the
+    cell.  Once a TFE and an HTE run bound a leaf, the bisection makes no
+    run.  Scout labels only choose which runs to make; they never enter
+    the result.  Without a scout cell (a scout run raises, or the caller's
+    rtol is at least `_SCOUT_RTOL`) the bisection makes all its runs.  The
+    cell, the scout cell, the run counts, whether the bisection made a run
+    ("by plain bisection") or not ("confirmed") and any neighbour step are
+    logged to the "ticsp" logger at DEBUG.
 
     Raises ValueError before any run for a negative or non-finite N0, L0
     or C0, for a bracket that is not 0 < low < high < inf and for
     parameters with fewer than two kinds of stable equilibrium (no
-    bracket separates two basins); and, after the endpoint runs, for a
-    bracket whose endpoints settle to the same attractor.
+    bracket separates two basins); and, once its ends are labelled, for a
+    bracket whose ends take the same label.
     """
     for name, value in (("N0", N0), ("L0", L0), ("C0", C0)):
         if not 0.0 <= value < np.inf:
@@ -599,7 +599,8 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
     rate = float(saddles[0].eigenvalues.real.max()) if len(saddles) == 1 else None
     scout_cfg = replace(cfg, rtol=_SCOUT_RTOL)
     scouted = [0, 0]    # scout runs at midpoints, and where the prediction led
-    full = {}           # label of each run at the caller's tolerance, by T0
+    bound = {"TFE": -np.inf, "HTE": np.inf}    # the highest TFE and lowest HTE full run
+    runs = 0                                    # full runs made
 
     def settle(T0: float, run_cfg: IntegratorConfig) -> tuple[str, Optional[float]]:
         return _settle(np.array([T0, N0, L0, C0]), params, run_cfg, targets, certificates)
@@ -608,12 +609,14 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
         scouted[predicted] += 1
         return settle(T0, scout_cfg)
 
-    def run(T0: float) -> str:
-        if T0 not in full:
-            full[T0] = settle(T0, cfg)[0]
-        return full[T0]
+    def label(T0: float) -> str:
+        nonlocal runs
+        if bound["TFE"] < T0 < bound["HTE"]:
+            runs += 1
+            bound[settle(T0, cfg)[0]] = T0
+        return "TFE" if T0 <= bound["TFE"] else "HTE"
 
-    confirmed = neighbour = False
+    neighbour = False
     cell = None
     if cfg.rtol < _SCOUT_RTOL:
         try:
@@ -621,21 +624,20 @@ def basin_threshold(N0: float, L0: float, C0: float, params: ParameterSet,
         except (RuntimeError, ValueError):
             pass
         else:
-            lo_f, hi_f = cell
-            if lo < lo_f and run(lo_f) == "HTE":
+            a, b = cell
+            if lo < a and label(a) == "HTE":
                 neighbour = True
-                lo_f, hi_f = _bisect(lambda m: m < cell[0], lo, hi, 1.0, ends=(True, False))
-            elif hi_f < hi and run(lo_f) == "TFE" and run(hi_f) == "TFE":
+                label(_bisect(lambda m: m < a, lo, hi, 1.0, ends=(True, False))[0])
+            elif b < hi and label(a) == "TFE" and label(b) == "TFE":
                 neighbour = True
-                lo_f, hi_f = _bisect(lambda m: m <= cell[1], lo, hi, 1.0, ends=(True, False))
-            confirmed = run(lo_f) == "TFE" and run(hi_f) == "HTE"
-    if not confirmed:
-        lo_f, hi_f = _bisect(run, lo, hi, 1.0)
+                label(_bisect(lambda m: m <= b, lo, hi, 1.0, ends=(True, False))[1])
+    before = runs
+    lo_f, hi_f = _bisect(label, lo, hi, 1.0)
     if _LOGGER.isEnabledFor(logging.DEBUG):
         _LOGGER.debug("threshold: cell (%r, %r] %s after %d scout runs (%d predicted, "
                       "%d midpoints) and %d full runs; scout cell %s, %s",
-                      lo_f, hi_f, "confirmed" if confirmed else "by plain bisection",
-                      sum(scouted), scouted[1], scouted[0], len(full),
+                      lo_f, hi_f, "confirmed" if runs == before else "by plain bisection",
+                      sum(scouted), scouted[1], scouted[0], runs,
                       "none" if cell is None else "(%r, %r]" % cell,
                       "neighbour step" if neighbour else "no neighbour step")
     return hi_f

@@ -62,7 +62,7 @@ class _Radau:
     and forward runs, with a lean step and numpy's LAPACK gesv.
 
     `__init__` does what scipy's `OdeSolver` and `Radau` inits do here (the
-    checks on y0, rtol, atol and max_step, f0 and `select_initial_step`,
+    checks on y0, rtol and atol, f0 and `select_initial_step`,
     the Newton tolerance, the Jacobian at t0); `step`, `status`, `t_old`,
     `dense_output` and the counters are the stock solver's, which can stand
     in for it.  `_step_impl` is scipy's with `solve_collocation_system`,
@@ -84,7 +84,7 @@ class _Radau:
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def __init__(self, fun, t0, y0, t_bound, max_step=np.inf, rtol=1e-3, atol=1e-6, jac=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6, jac=None):
         if not t_bound > t0:
             raise ValueError("_Radau integrates forward in time only")
         y = np.asarray(y0).astype(float, copy=False)
@@ -92,8 +92,6 @@ class _Radau:
             raise ValueError("`y0` must be 1-dimensional.")
         if not np.isfinite(y).all():
             raise ValueError("All components of the initial state `y0` must be finite.")
-        if max_step <= 0:
-            raise ValueError("`max_step` must be positive.")
         self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
         if rtol < 100 * EPS:
             warnings.warn("At least one element of `rtol` is too small. "
@@ -105,7 +103,7 @@ class _Radau:
         if np.any(atol < 0):
             raise ValueError("`atol` must be positive.")
         self.t, self.y, self.t_bound, self.t_old, self.y_old = t0, y, t_bound, None, None
-        self.max_step, self.rtol, self.atol = max_step, rtol, atol
+        self.rtol, self.atol = rtol, atol
         self.status, self.nfev, self.njev, self.nlu = "running", 2, 1, 0
         self._rhs, self._Q = fun, None     # _Q: previous step's dense-output coefficients
         self.f = f0 = fun(t0, y)
@@ -116,7 +114,7 @@ class _Radau:
         d2 = _rms((fun(t0 + h0, y + h0 * f0) - f0) / scale) / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** (1 / 4))
-        self.h_abs = min(100 * h0, h1, t_bound - t0, max_step)
+        self.h_abs = min(100 * h0, h1, t_bound - t0)
         self.h_abs_old = self.error_norm_old = None
 
         def counted_jac(t, y):
@@ -174,9 +172,7 @@ class _Radau:
         n = y.shape[0]
 
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs, h_abs_old, error_norm_old = self.max_step, None, None
-        elif self.h_abs < min_step:
+        if self.h_abs < min_step:
             h_abs, h_abs_old, error_norm_old = min_step, None, None
         else:
             h_abs, h_abs_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old

@@ -80,8 +80,8 @@ class ConstraintErrorSeries:
 
     RE_N = (N - N_hat)/N and RE_L = (L - L_hat)/L at every output grid
     time (NaN where a population is zero).  When the trajectory has an
-    explosive stage, summary statistics cover the window
-    t/t_exp in [0.2, 0.95].
+    explosive stage, max_re_n and max_re_l are the largest |RE_N| and
+    |RE_L| over the window t/t_exp in [0.2, 0.95].
     """
 
     t: np.ndarray
@@ -91,8 +91,6 @@ class ConstraintErrorSeries:
     window: Optional[tuple[float, float]]
     max_re_n: Optional[float] = None
     max_re_l: Optional[float] = None
-    mean_re_n: Optional[float] = None
-    mean_re_l: Optional[float] = None
 
 
 def constraint_errors(traj: Trajectory, p: ParameterSet,
@@ -115,9 +113,7 @@ def constraint_errors(traj: Trajectory, p: ParameterSet,
         sel = (traj.t >= lo) & (traj.t <= hi) & np.isfinite(re_n) & np.isfinite(re_l)
         if np.any(sel):
             summary = dict(max_re_n=float(np.max(np.abs(re_n[sel]))),
-                           max_re_l=float(np.max(np.abs(re_l[sel]))),
-                           mean_re_n=float(np.mean(np.abs(re_n[sel]))),
-                           mean_re_l=float(np.mean(np.abs(re_l[sel]))))
+                           max_re_l=float(np.max(np.abs(re_l[sel]))))
     return ConstraintErrorSeries(t=traj.t, re_n=re_n, re_l=re_l, t_exp=t_exp,
                                  window=window, **summary)
 

@@ -1,5 +1,4 @@
 """Integration, dense evaluation, and basin bisection."""
-import functools
 import logging
 import math
 import warnings
@@ -234,36 +233,31 @@ def _van_der_pol_jac(t, y, mu=1e3):
 
 
 #: Small systems that reach the step's rarer branches, as (fun, jac, span,
-#: y0, options).  "jump": rejected steps followed by a second error estimate
+#: y0, rtol).  "jump": rejected steps followed by a second error estimate
 #: (17 of them), at a right-hand side that jumps at t = 1.  "blow-up":
 #: y' = y^2 blows up at t = 1, so the step size collapses (status -1).
 #: "van der Pol" (mu = 1e3): Newton failures with a stale and with a fresh
 #: Jacobian, and Jacobian refreshes.  "constant": an error estimate of
-#: exactly 0.  "decay": a `max_step` cap.
+#: exactly 0.
 TOY_SYSTEMS = {
-    "jump": (_jump, lambda t, y: np.array([[-50.0]]), (0.0, 2.0), [0.0], {"rtol": 1e-6}),
+    "jump": (_jump, lambda t, y: np.array([[-50.0]]), (0.0, 2.0), [0.0], 1e-6),
     "blow-up": (lambda t, y: y * y, lambda t, y: np.array([[2.0 * y[0]]]),
-                (0.0, 2.0), [1.0], {}),
-    "van der Pol": (_van_der_pol, _van_der_pol_jac, (0.0, 3000.0), [2.0, 0.0],
-                    {"rtol": 1e-3}),
+                (0.0, 2.0), [1.0], 1e-3),
+    "van der Pol": (_van_der_pol, _van_der_pol_jac, (0.0, 3000.0), [2.0, 0.0], 1e-3),
     "constant": (lambda t, y: np.zeros(2), lambda t, y: np.zeros((2, 2)),
-                 (0.0, 1e6), [1.0, 2.0], {}),
-    "decay": (lambda t, y: -y, lambda t, y: -np.eye(3), (0.0, 10.0), [1.0, 2.0, 3.0],
-              {"max_step": 0.5}),
+                 (0.0, 1e6), [1.0, 2.0], 1e-3),
 }
 
 
-def _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, grid=None, stop=None, **options):
+def _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, grid=None, stop=None):
     """The same run through `_radau` (its undershoot clip switched off) and
-    through stock `solve_ivp(method=Radau)`; `options` go to both solvers."""
+    through stock `solve_ivp(method=Radau)`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_clip_undershoot", lambda y, atol, where: y)
-        if options:
-            mp.setattr(integrator, "_Radau", functools.partial(_Radau, **options))
         ours = _radau(fun, jac, np.array(y0, dtype=float), t_end, cfg, "test", grid, stop)
     ref = solve_ivp(fun, (0.0, t_end), np.array(y0, dtype=float), method=Radau, jac=jac,
                     rtol=cfg.rtol, atol=cfg.atol, dense_output=grid is not None,
-                    t_eval=grid, events=stop, **options)
+                    t_eval=grid, events=stop)
     return ours, ref
 
 
@@ -294,16 +288,15 @@ def test_radau_driver_matches_solve_ivp_on_the_reference_cases(name):
 def test_radau_subclass_matches_stock_on_toy_systems(name):
     # endpoint-only runs: the step points, the state at every step (seen by
     # a `stop` that never fires), the final state and the counters
-    fun, jac, (_, t_end), y0, options = TOY_SYSTEMS[name]
-    options = dict(options)
-    cfg = IntegratorConfig(rtol=options.pop("rtol", 1e-3), t_end=t_end)
+    fun, jac, (_, t_end), y0, rtol = TOY_SYSTEMS[name]
+    cfg = IntegratorConfig(rtol=rtol, t_end=t_end)
     seen = []
 
     def stop(t, y):
         seen.append(y.copy())
         return -1.0
 
-    ours, ref = _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, stop=stop, **options)
+    ours, ref = _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, stop=stop)
     assert ours[3].status == ref.status == (-1 if name == "blow-up" else 0)
     _assert_same_run(ours, ref, len(ref.t) - 1)
     states = np.array(seen[:len(ref.t)])  # ours first, then solve_ivp's
@@ -312,11 +305,10 @@ def test_radau_subclass_matches_stock_on_toy_systems(name):
 
 @pytest.mark.parametrize("name", sorted(TOY_SYSTEMS))
 def test_radau_driver_matches_solve_ivp_on_toy_systems(name):
-    fun, jac, (_, t_end), y0, options = TOY_SYSTEMS[name]
-    options = dict(options)
-    cfg = IntegratorConfig(rtol=options.pop("rtol", 1e-3), t_end=t_end)
+    fun, jac, (_, t_end), y0, rtol = TOY_SYSTEMS[name]
+    cfg = IntegratorConfig(rtol=rtol, t_end=t_end)
     grid = np.linspace(0.0, t_end, 101)
-    ours, ref = _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, grid, **options)
+    ours, ref = _driver_and_solve_ivp(fun, jac, y0, t_end, cfg, grid)
     _assert_same_run(ours, ref, len(ref.sol.ts) - 1)
     if name == "blow-up":
         # the partial grid up to the step-size collapse, and the solver's message
@@ -887,6 +879,30 @@ def test_basin_threshold_takes_one_neighbour_step(monkeypatch, caplog):
         "319393.1506920296], neighbour step"]
 
 
+@pytest.mark.parametrize("k, full_runs", [(-3, 9), (-1, 2), (0, 2), (1, 3), (3, 12)])
+def test_basin_threshold_is_the_full_bisection_of_a_step_boundary(k, full_runs, monkeypatch):
+    # Every run settles by a step function of T0, with no entry time, so the
+    # scout is a plain bisection: its boundary lies mid-leaf, and the full
+    # runs' boundary k leaves of the bisection tree away.  The threshold is
+    # the full step function's bisection.  The cell's ends and one
+    # neighbour leaf end settle |k| <= 1; at |k| = 3 the walk runs only
+    # what those runs leave undecided.
+    lo, hi = 317765.86462426867, 322030.33278392896
+    leaf = (hi - lo) / 2**13
+    theta = {integrator._SCOUT_RTOL: lo + 600.5 * leaf, 1e-8: lo + (600.5 + k) * leaf}
+    full = []
+
+    def step(y, params, config, targets, certificates):
+        if config.rtol != integrator._SCOUT_RTOL:
+            full.append(y[0])
+        return ("TFE" if y[0] < theta[config.rtol] else "HTE"), None
+
+    monkeypatch.setattr(integrator, "_settle", step)
+    expected = integrator._bisect(lambda T0: T0 < theta[1e-8], lo, hi, 1.0)[1]
+    assert basin_threshold(*IMMUNE, P, (lo, hi)).hex() == expected.hex()
+    assert len(full) == full_runs
+
+
 def test_threshold_log_costs_nothing_when_off(monkeypatch):
     logger = logging.getLogger("ticsp")
     monkeypatch.setattr(logger, "level", logging.WARNING)
@@ -912,13 +928,14 @@ def test_basin_threshold_falls_back_when_a_scout_run_raises(monkeypatch, caplog)
 @pytest.mark.slow
 def test_basin_threshold_falls_back_from_a_loose_scout(monkeypatch, caplog):
     # At rtol 1e-3 the scout's cell is two cells off; neither it nor the
-    # leaf below it is confirmed, and the plain bisection gives the threshold.
+    # leaf below it is confirmed, and the plain bisection gives the
+    # threshold, running only what the full runs so far leave undecided.
     monkeypatch.setattr(integrator, "_SCOUT_RTOL", 1e-3)
     with caplog.at_level(logging.DEBUG, logger="ticsp"):
         assert basin_threshold(*IMMUNE, P, (3.1e5, 3.3e5)).hex() == "0x1.37e82cd000000p+18"
     assert _threshold_lines(caplog) == [
         "threshold: cell (319392.08984375, 319392.7001953125] by plain bisection after 9 "
-        "scout runs (5 predicted, 4 midpoints) and 17 full runs; scout cell "
+        "scout runs (5 predicted, 4 midpoints) and 10 full runs; scout cell "
         "(319393.310546875, 319393.9208984375], neighbour step"]
 
 
