@@ -15,7 +15,7 @@ from ticsp.equilibria import bifurcation_scan, find_hte, tfe, tfe_stable
 P = DEFAULT_PARAMETERS
 
 print("=== Rest states at the fitted parameters ===")
-tumor_free = tfe(P)[0]
+tumor_free = tfe(P)
 rows = [tumor_free, *find_hte(P)]
 print(f"{'kind':>5} {'stable':>7} {'T':>12} {'N':>10} {'L':>12} {'C':>12}")
 for eq in rows:

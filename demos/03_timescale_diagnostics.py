@@ -12,11 +12,11 @@ Ranked entries are truncated once their cumulative share reaches 95%.
 from ticsp.harness import ii_persistence, report_tables, run_scenario
 
 res = run_scenario("TP")
-rep = report_tables(res)
+tables = report_tables(res)
 
 
 def show(frac, kind, row):
-    tab = next(t for t in rep.tables
+    tab = next(t for t in tables
                if t.t_over_texp == frac and t.kind == kind and t.row == row)
     entries = ", ".join(f"{lab}: {val:+.2f}" for lab, val in tab.entries)
     print(f"  {kind:>3} {row:<7} (M={tab.M}): {entries}")

@@ -25,6 +25,7 @@ from .harness import (
     PerturbationSpec,
     Scenario,
     get_scenario,
+    ii_persistence,
     report_tables,
     run_perturbation,
     run_scenario,
@@ -176,12 +177,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_equilibria(args) -> int:
     params = _params_for(args)
-    eqs = (tfe(params)[0], *find_hte(params))
+    eqs = (tfe(params), *find_hte(params))
     payload = [
         {
             "kind": eq.kind,
             "stable": bool(eq.stable),
-            "feasible": bool(eq.feasible),
+            "feasible": True,
             "T": float(eq.T), "N": float(eq.N), "L": float(eq.L), "C": float(eq.C),
             "eigenvalues_re": [float(v) for v in eq.eigenvalues.real],
             "eigenvalues_im": [float(v) for v in eq.eigenvalues.imag],
@@ -292,11 +293,15 @@ def cmd_perturb(args) -> int:
 
 def cmd_threshold(args) -> int:
     params = _params_for(args)
+    given = (args.N0, args.L0, args.C0)
     if args.scenario:
+        for name, value in zip(("--N0", "--L0", "--C0"), given):
+            if value is not None:
+                raise ValueError(f"{name} cannot be combined with --scenario")
         base = get_scenario(args.scenario.removesuffix("-family"))
         n0, l0, c0 = base.N0, base.L0, base.C0
     else:
-        n0, l0, c0 = args.N0, args.L0, args.C0
+        n0, l0, c0 = (d if v is None else v for v, d in zip(given, (1e3, 1e1, 6e8)))
     lo, hi = args.bracket
     value = basin_threshold(n0, l0, c0, params, (lo, hi),
                             _int_config(args, 200.0))
@@ -315,13 +320,13 @@ def cmd_report(args) -> int:
     params = _params_for(args, scn)
     res = run_scenario(scn, params, _int_config(args, scn.t_end),
                        fixed_M=args.fixed_M)
-    rep = report_tables(res)
+    tables = report_tables(res)
     out = _out_dir(args, scn.name)
     _write_json(out / "report.json", {
-        "name": rep.name,
-        "t_exp": rep.t_exp,
-        "attractor": rep.attractor,
-        "persistent": {var: list(procs) for var, procs in rep.persistent.items()},
+        "name": scn.name,
+        "t_exp": res.t_exp,
+        "attractor": res.attractor,
+        "persistent": {var: list(procs) for var, procs in ii_persistence(res).items()},
         "tables": [
             {
                 "t_over_texp": tab.t_over_texp,
@@ -330,7 +335,7 @@ def cmd_report(args) -> int:
                 "M": tab.M,
                 "entries": [[lab, val] for lab, val in tab.entries],
             }
-            for tab in rep.tables
+            for tab in tables
         ],
     })
     _echo_config(out, args, params, scenario=scn.name)
@@ -413,9 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--scenario", default=None,
                      help="borrow (N0, L0, C0) from a built-in case "
                           "(accepts a '-family' suffix)")
-    thr.add_argument("--N0", type=float, default=1e3)
-    thr.add_argument("--L0", type=float, default=1e1)
-    thr.add_argument("--C0", type=float, default=6e8)
+    for name, default in (("--N0", "1e3"), ("--L0", "1e1"), ("--C0", "6e8")):
+        thr.add_argument(name, type=float, help=f"default {default}; not with --scenario")
     thr.add_argument("--bracket", type=float, nargs=2, default=(1e5, 1e6),
                      metavar=("LO", "HI"))
     thr.set_defaults(func=cmd_threshold)

@@ -347,6 +347,11 @@ def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[Explosiv
     return ExplosiveStage(start=start, end=end, mode_index=mode_index)
 
 
+def _check_fixed_M(fixed_M: Optional[int]) -> None:
+    if fixed_M is not None and not 0 <= fixed_M < 4:
+        raise ValueError(f"fixed M must be in [0, 4), got {fixed_M}")
+
+
 def diagnostics_records(states: Sequence[State], params: ParameterSet,
                         fracs: Sequence[float],
                         fixed_M: Optional[int] = None) -> list[DiagnosticsRecord]:
@@ -355,8 +360,7 @@ def diagnostics_records(states: Sequence[State], params: ParameterSet,
     `fracs` gives each record's t/t_exp.  M is each state's exhausted-mode
     count, or `fixed_M` for every record when it is given.
     """
-    if fixed_M is not None and not 0 <= fixed_M < 4:
-        raise ValueError(f"fixed M must be in [0, 4), got {fixed_M}")
+    _check_fixed_M(fixed_M)
     process_sets = [process_rates(state, params) for state in states]
     records = []
     for dec, ps, frac in zip(_decompose(states, process_sets), process_sets, fracs):

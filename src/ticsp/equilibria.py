@@ -57,18 +57,13 @@ _XTOL, _RTOL = 1e-13, 4.0 * np.finfo(float).eps  # an HTE root's tolerances, xto
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """A fixed point record.
-
-    `y` is the raw (T, N, L, C) vector; the infeasible tumor-free twin
-    carries a negative L component, which is why this is an array and
-    not a feasible-domain State.
-    """
+    """A feasible fixed point: its kind, (T, N, L, C) vector `y`, Jacobian
+    eigenvalues and stability."""
 
     kind: str                 # "TFE" | "HTE"
     y: np.ndarray             # (4,)
     eigenvalues: np.ndarray   # (4,) complex
     stable: bool
-    feasible: bool
 
     @property
     def T(self) -> float:
@@ -108,34 +103,12 @@ def tfe_stable(p: ParameterSet) -> bool:
     return _tfe_margin(p) < 0.0
 
 
-def tfe(p: ParameterSet) -> tuple[Equilibrium, Equilibrium]:
-    """Both tumor-free fixed points.
-
-    The first is the biological TFE (0, alpha e/(beta f), 0, alpha/beta).
-    The second, with L* = -m f beta/(u e alpha) < 0, is always infeasible;
-    its eigenvalue set is the formal linearization (the CD8+ balance
-    flips the sign of the m eigenvalue at the negative root).
-    """
-    n0 = p.alpha * p.e / (p.beta * p.f)
-    c0 = p.alpha / p.beta
+def tfe(p: ParameterSet) -> Equilibrium:
+    """The tumor-free equilibrium (0, alpha e/(beta f), 0, alpha/beta)."""
     eigs = tfe_eigenvalues(p).astype(complex)
-    main = Equilibrium(
-        kind="TFE",
-        y=np.array([0.0, n0, 0.0, c0]),
-        eigenvalues=eigs,
-        stable=bool(np.all(eigs.real < 0.0)),
-        feasible=True,
-    )
-    twin_eigs = eigs.copy()
-    twin_eigs[2] = +p.m  # d/dL (-mL - uNL^2) = +m at L* = -m/(u N*)
-    twin = Equilibrium(
-        kind="TFE",
-        y=np.array([0.0, n0, -p.m * p.f * p.beta / (p.u * p.e * p.alpha), c0]),
-        eigenvalues=twin_eigs,
-        stable=False,
-        feasible=False,
-    )
-    return main, twin
+    return Equilibrium(kind="TFE",
+                       y=np.array([0.0, p.alpha * p.e / (p.beta * p.f), 0.0, p.alpha / p.beta]),
+                       eigenvalues=eigs, stable=bool(np.all(eigs.real < 0.0)))
 
 
 def _libm_pow(x, y):
@@ -486,7 +459,7 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     out: list[list[Equilibrium]] = [[] for _ in qs]
     for s, y, w, osc, st in zip(sets, Y, eigs, oscillating, stable):
         # a state's own call returns real eigenvalues when none has an imaginary part
-        out[s].append(Equilibrium("HTE", y, w if osc else w.real, st, True))
+        out[s].append(Equilibrium("HTE", y, w if osc else w.real, st))
     return out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .csp import (
     DiagnosticsRecord,
     ExplosiveStage,
+    _check_fixed_M,
     diagnostics_records,
     explosive_stage,
     mode_eigenvalues,
@@ -105,7 +106,8 @@ _SCENARIO_FIELDS = (*_SCENARIO_REQUIRED, "t_end", "params_file", "expect")
 def scenario_from_json(path) -> Scenario:
     """Load a scenario file: {name, T0, N0, L0, C0, t_end?, params_file?, expect?}.
 
-    A malformed file raises ValueError naming the file and the field.
+    A malformed file or a name that is no directory name raises
+    ValueError naming the file and the field.
     """
     path = Path(path)
     text = path.read_text()
@@ -119,11 +121,14 @@ def scenario_from_json(path) -> Scenario:
         missing = [key for key in _SCENARIO_REQUIRED if key not in data]
         if missing:
             raise ValueError(f"missing field {missing[0]!r}")
+        name = str(data["name"])
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"field 'name' must be a directory name, got {name!r}")
         params = None
         if data.get("params_file"):
             params = ParameterSet.from_json(path.parent / data["params_file"])
         return Scenario(
-            name=str(data["name"]), expect=data.get("expect"), params=params,
+            name=name, expect=data.get("expect"), params=params,
             **{key: number(data[key], f"field {key!r}")
                for key in ("T0", "N0", "L0", "C0", "t_end") if key in data})
     except ValueError as exc:
@@ -193,13 +198,13 @@ def run_scenario(scenario: Scenario | str,
     entirely when no explosive stage exists); a negative or non-finite one
     raises ValueError before the run, and one past the run's end raises
     ValueError before any record is evaluated.  M for the importance index
-    is adaptive unless `fixed_M` pins it.  With `settle=False` the attractor
-    is classified only from the final state and may come back None on
-    horizons too short to approach an equilibrium; otherwise an
-    unclassified run goes to `settle_attractor`, which labels a final
-    state already in a certified region without another solver run and
-    otherwise integrates further until the run settles (and raises if it
-    never does).
+    is adaptive unless `fixed_M` (checked before the run) pins it.  With
+    `settle=False` the attractor is classified only from the final state and
+    may come back None on horizons too short to approach an equilibrium;
+    otherwise an unclassified run goes to `settle_attractor`, which labels a
+    final state already in a certified region without another solver run
+    and otherwise integrates further until the run settles (and raises if
+    it never does).
     An integration that stops before the horizon raises IntegrationError;
     a classified attractor other than the scenario's `expect` raises
     RuntimeError.
@@ -209,6 +214,7 @@ def run_scenario(scenario: Scenario | str,
     for frac in checkpoints:
         if not 0.0 <= frac < np.inf:
             raise ValueError(f"checkpoints must be nonnegative and finite, got {frac!r}")
+    _check_fixed_M(fixed_M)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     p = params if params is not None else (scenario.params or DEFAULT_PARAMETERS)
@@ -231,7 +237,7 @@ def run_scenario(scenario: Scenario | str,
         states = [evaluate_dense(traj, frac * stage.t_exp) for frac in checkpoints]
         records = diagnostics_records(states, p, checkpoints, fixed_M)
 
-    equilibria = (tfe(p)[0], *find_hte(p))
+    equilibria = (tfe(p), *find_hte(p))
     targets = [eq for eq in equilibria if eq.stable]
     attractor = classify_attractor(traj.y[-1], targets)
     if attractor is None and settle:
@@ -374,17 +380,6 @@ class IndexTable:
     entries: tuple[tuple[object, float], ...]  # (process number or variable, value)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    """Structured tables plus the persistent-process summary for one run."""
-
-    name: str
-    t_exp: Optional[float]
-    attractor: str
-    tables: tuple[IndexTable, ...]
-    persistent: dict[str, tuple[int, ...]]
-
-
 def ranked_entries(values: np.ndarray, labels: Sequence) -> tuple[tuple[object, float], ...]:
     """Entries in descending |value| until their cumulative |value| reaches
     `_RANKED_CUTOFF` (ties broken by original position).  The input rows
@@ -450,15 +445,6 @@ def joint_ii_persistence(results: Sequence[ScenarioResult]) -> dict[str, tuple[i
     return {var: tuple(sorted(procs)) for var, procs in joint.items()}
 
 
-def report_tables(result: ScenarioResult) -> ScenarioReport:
-    """Dominant-entry tables at every checkpoint plus the persistence summary."""
-    tables: list[IndexTable] = []
-    for rec in result.records:
-        tables.extend(_record_tables(rec))
-    return ScenarioReport(
-        name=result.scenario.name,
-        t_exp=result.t_exp,
-        attractor=result.attractor,
-        tables=tuple(tables),
-        persistent=ii_persistence(result),
-    )
+def report_tables(result: ScenarioResult) -> tuple[IndexTable, ...]:
+    """Dominant-entry tables at every checkpoint."""
+    return tuple(tab for rec in result.records for tab in _record_tables(rec))

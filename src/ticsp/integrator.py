@@ -256,7 +256,7 @@ def stable_equilibria(params: ParameterSet) -> list[Equilibrium]:
 
 def _equilibria(params: ParameterSet) -> tuple[list[Equilibrium], list[Equilibrium]]:
     """`stable_equilibria` and the unstable HTEs, from one `find_hte` call."""
-    main, _ = tfe(params)
+    main = tfe(params)
     htes = find_hte(params)
     return (([main] if main.stable else []) + [e for e in htes if e.stable],
             [e for e in htes if not e.stable])

@@ -42,7 +42,7 @@ from .params import ParameterSet
 __all__ = [
     "VARIABLES", "N_PROCESSES", "STOICHIOMETRY",
     "DomainError", "State", "ProcessSet", "process_rates",
-    "rates_array", "rhs_array", "jacobian_array", "jacobian_batch",
+    "rhs_array", "jacobian_array", "jacobian_batch",
     "T_FLOOR", "floor_state", "floored_rhs",
 ]
 
@@ -221,17 +221,11 @@ def _gradients(T, N, L, C, p: ParameterSet):
 
 # -- array-based entry points (hot path for the integrator and CSP) ----------
 
-def rates_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
-    """The 15 process rates at a state array (4,): the solver's kernel, so
-    it skips the gradients and the `ProcessSet` of `process_rates`."""
-    T, N, L, C = y.tolist()
-    _require_dynamic(T, N, L, C)
-    return np.array(_rates(T, N, L, C, _saturation(T, L, p)[0], p))
-
-
 def rhs_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
     """Time derivative (dT, dN, dL, dC)/dt = S @ R at a state array (4,)."""
-    return STOICHIOMETRY @ rates_array(y, p)
+    T, N, L, C = y.tolist()
+    _require_dynamic(T, N, L, C)
+    return STOICHIOMETRY @ np.array(_rates(T, N, L, C, _saturation(T, L, p)[0], p))
 
 
 def floored_rhs(y: np.ndarray, p: ParameterSet) -> np.ndarray:

@@ -1,13 +1,14 @@
 """scipy 1.17.1's Radau IIA solver, lean: the step engine of `integrator._radau`.
 
 `_Radau`, its dense output and `_OdeSolution` are lean copies of scipy
-1.17.1's Radau and `OdeSolution` for real states, a callable Jacobian and
-forward runs.  Each solve with the Radau iteration matrix is numpy's own
-LAPACK gesv (getrf then getrs), which returns scipy's `lu_factor`/`lu_solve`
-bits.  On these 4x4 systems scipy's per-call wrappers cost more than the
-arithmetic, and they are what the copies drop; they keep every
-floating-point operation and its order, so steps, counters and dense output
-stay bit-identical to the stock solver, which the tests use as the oracle.
+1.17.1's Radau and `OdeSolution` for real states, float tolerances, a
+callable Jacobian, forward runs and 1-D arrays of output times.  Each
+solve with the Radau iteration matrix is numpy's own LAPACK gesv (getrf
+then getrs), which returns scipy's `lu_factor`/`lu_solve` bits.  On these
+4x4 systems scipy's per-call wrappers cost more than the arithmetic, and
+they are what the copies drop; they keep every floating-point operation
+and its order, so steps, counters and dense output stay bit-identical to
+the stock solver, which the tests use as the oracle.
 """
 import cmath
 import itertools
@@ -62,10 +63,10 @@ class _Radau:
     and forward runs, with a lean step and numpy's LAPACK gesv.
 
     `__init__` does what scipy's `OdeSolver` and `Radau` inits do here (the
-    checks on y0, rtol and atol, f0 and `select_initial_step`,
-    the Newton tolerance, the Jacobian at t0); `step`, `status`, `t_old`,
-    `dense_output` and the counters are the stock solver's, which can stand
-    in for it.  `_step_impl` is scipy's with `solve_collocation_system`,
+    checks on y0 and rtol, `atol` being `IntegratorConfig`'s positive float,
+    f0 and `select_initial_step`, the Newton tolerance, the Jacobian at t0);
+    `step`, `status`, `t_old`, `dense_output` and the counters are the stock
+    solver's, which can stand in for it.  `_step_impl` is scipy's with `solve_collocation_system`,
     `predict_factor` and the previous step's dense output inline.  They
     perform the same floating-point operations in the same order, on arrays
     of the same layout: every product stays a numpy/BLAS `dot`, whose
@@ -84,7 +85,7 @@ class _Radau:
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6, jac=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, jac):
         if not t_bound > t0:
             raise ValueError("_Radau integrates forward in time only")
         y = np.asarray(y0).astype(float, copy=False)
@@ -97,11 +98,6 @@ class _Radau:
             warnings.warn("At least one element of `rtol` is too small. "
                           f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=2)
             rtol = np.maximum(rtol, 100 * EPS)
-        atol = np.asarray(atol)
-        if atol.ndim > 0 and atol.shape != y.shape:
-            raise ValueError("`atol` has wrong shape.")
-        if np.any(atol < 0):
-            raise ValueError("`atol` must be positive.")
         self.t, self.y, self.t_bound, self.t_old, self.y_old = t0, y, t_bound, None, None
         self.rtol, self.atol = rtol, atol
         self.status, self.nfev, self.njev, self.nlu = "running", 2, 1, 0
@@ -308,21 +304,18 @@ class _Radau:
 
 
 class _OdeSolution:
-    """scipy's `OdeSolution` for increasing step points `ts`: a step point
-    takes the earlier step's interpolant; sorted times make one call per step
-    they fall in (this grouping sets the shape of each `dot`, so the last bits)."""
+    """scipy's `OdeSolution` for increasing step points `ts`, at 1-D arrays of
+    times: a step point takes the earlier step's interpolant; sorted times make
+    one call per step they fall in (this grouping sets each `dot`'s shape)."""
 
     def __init__(self, ts, interpolants):
         self.ts, self.interpolants = np.asarray(ts), interpolants
 
     def __call__(self, t):
-        t = np.asarray(t)
-        last = len(self.interpolants) - 1
-        if t.ndim == 0:
-            return self.interpolants[min(max(np.searchsorted(self.ts, t) - 1, 0), last)](t)
         order = np.argsort(t)
         t_sorted = t[order]
-        segments = np.minimum(np.maximum(np.searchsorted(self.ts, t_sorted) - 1, 0), last)
+        segments = np.minimum(np.maximum(np.searchsorted(self.ts, t_sorted) - 1, 0),
+                              len(self.interpolants) - 1)
         ys, start = [], 0
         for segment, group in itertools.groupby(segments):
             end = start + len(list(group))

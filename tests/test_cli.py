@@ -184,6 +184,23 @@ def test_csp_checkpoint_past_the_horizon_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+NOSTAGE = {"name": "nostage", "T0": 1, "N0": 1e5, "L0": 1e6, "C0": 6e10, "expect": "TFE"}
+
+
+@pytest.mark.parametrize("command, fixed_M", [("report", -3), ("csp", 7)])
+def test_bad_fixed_M_fails_before_the_run(command, fixed_M, tmp_path, capsys, monkeypatch):
+    # with or without an explosive stage (the file case has none, TP has one)
+    calls = count_calls(monkeypatch, "integrator.integrate")
+    scenario = tmp_path / "nostage.json"
+    scenario.write_text(json.dumps(NOSTAGE))
+    source = ["--scenario-file", scenario] if command == "report" else ["--scenario", "TP"]
+    out = tmp_path / "out"
+    assert run_cli(command, *source, "--fixed-M", fixed_M, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: fixed M must be in [0, 4), got {fixed_M}\n"
+    assert not calls
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -227,8 +244,7 @@ def test_json_writer_refuses_non_finite_values(tmp_path):
 
 def test_reduce_without_explosive_stage(tmp_path):
     scenario = tmp_path / "nostage.json"
-    scenario.write_text(json.dumps({"name": "nostage", "T0": 1, "N0": 1e5, "L0": 1e6,
-                                    "C0": 6e10, "expect": "TFE"}))
+    scenario.write_text(json.dumps(NOSTAGE))
     out = tmp_path / "red"
     assert run_cli("reduce", "--scenario-file", scenario, "--out", out) == 0
     summary = json.loads((out / "reduce_summary.json").read_text())
@@ -306,6 +322,17 @@ def test_threshold_refuses_parameters_with_one_stable_equilibrium(d, kind, tmp_p
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: no bracket separates two basins: the only stable "
                    f"equilibrium of these parameters is the {kind}"], err
+    assert not calls
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--N0", "--L0", "--C0"])
+def test_threshold_refuses_an_immune_level_beside_a_scenario(option, tmp_path, capsys,
+                                                             monkeypatch):
+    calls = count_calls(monkeypatch, "integrator._settle")
+    out = tmp_path / "thr"
+    assert run_cli("threshold", "--scenario", "TP1-family", option, 5e3, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {option} cannot be combined with --scenario\n"
     assert not calls
     assert not out.exists()
 
@@ -496,7 +523,9 @@ def test_scenario_file_errors_name_the_file_and_field(tmp_path, capsys):
     for data, field in (([1, 2], "JSON object"), ({"name": "x"}, "'T0'"),
                         ({**VALID_SCENARIO, "T0": "abc"}, "'T0'"),
                         ({**VALID_SCENARIO, "C0": -1.0}, "C0"),
-                        ({**VALID_SCENARIO, "dose": 1}, "'dose'")):
+                        ({**VALID_SCENARIO, "dose": 1}, "'dose'"),
+                        *(({**VALID_SCENARIO, "name": name}, "'name'")
+                          for name in ("", ".", "..", "../escaped", "a/b", "/abs"))):
         path.write_text(json.dumps(data))
         assert run_cli("simulate", "--scenario-file", path, "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err

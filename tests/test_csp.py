@@ -75,7 +75,7 @@ def test_modes_sorted_fastest_first():
 
 
 def test_tfe_limit_all_dissipative():
-    main, _ = tfe(P)
+    main = tfe(P)
     s = State(0.0, 1e-10, main.N, 1e-4, main.C)
     d = decompose(s, P)
     assert not d.explosive.any()

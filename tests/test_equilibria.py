@@ -36,15 +36,12 @@ P = DEFAULT_PARAMETERS
 
 
 def test_tfe_closed_form():
-    main, twin = tfe(P)
+    main = tfe(P)
     assert main.T == 0.0 and main.L == 0.0
     assert main.N == pytest.approx(P.alpha * P.e / (P.beta * P.f), rel=1e-14)
     assert main.N == pytest.approx(315534.0, rel=1e-5)
     assert main.C == pytest.approx(6.25e10, rel=1e-14)
-    assert main.stable and main.feasible
-    # the algebraic twin always has a negative CD8+ component
-    assert twin.L == pytest.approx(-P.m * P.f * P.beta / (P.u * P.e * P.alpha), rel=1e-14)
-    assert twin.L < 0.0 and not twin.feasible and not twin.stable
+    assert main.stable
 
 
 def test_tfe_eigenvalues_analytic():
@@ -60,7 +57,7 @@ def test_tfe_eigenvalues_analytic():
 def test_tfe_eigenvalues_match_numeric_limit():
     # The tumor-free point itself (T = 0) is not evaluable; approach it
     # along the attracting region L/T >> 1 where the kill term saturates.
-    main, _ = tfe(P)
+    main = tfe(P)
     y = np.array([1e-10, main.N, 1e-4, main.C])
     numeric = np.sort(np.linalg.eigvals(jacobian_array(y, P)).real)
     analytic = np.sort(tfe_eigenvalues(P))
@@ -254,8 +251,7 @@ def _find_hte_loop(p):
         if np.all(y > 0.0):
             eigs = np.linalg.eigvals(jacobian_array(y, p))
             out.append(Equilibrium(kind="HTE", y=y, eigenvalues=eigs,
-                                   stable=bool(np.all(eigs.real < -equilibria._EPS_STAB)),
-                                   feasible=True))
+                                   stable=bool(np.all(eigs.real < -equilibria._EPS_STAB))))
     return out
 
 

@@ -253,15 +253,16 @@ def test_ranked_entries_nan_row():
 
 
 def test_report_structure(scenario_results):
-    rep = report_tables(scenario_results["TP"])
-    assert rep.name == "TP" and rep.attractor == "HTE"
-    assert rep.t_exp == pytest.approx(16.2189, rel=1e-3)
+    res = scenario_results["TP"]
+    tables = report_tables(res)
+    assert res.scenario.name == "TP" and res.attractor == "HTE"
+    assert res.t_exp == pytest.approx(16.2189, rel=1e-3)
     # 4 checkpoints x (4 modes x {API, TPI, Po} + 4 variables x II)
-    assert len(rep.tables) == 4 * 16
-    assert rep.persistent == PERSISTENT_TP
+    assert len(tables) == 4 * 16
+    assert ii_persistence(res) == PERSISTENT_TP
 
     def table(frac, kind, row):
-        return next(t for t in rep.tables
+        return next(t for t in tables
                     if t.t_over_texp == frac and t.kind == kind and t.row == row)
 
     tpi1 = table(0.5, "TPI", "mode 1")

@@ -357,11 +357,12 @@ def test_radau_subclass_step_is_live(monkeypatch):
 
 def test_radau_subclass_integrates_forward_only():
     with pytest.raises(ValueError, match="forward"):
-        _Radau(lambda t, y: -y, 1.0, np.ones(2), 0.0)
+        _Radau(lambda t, y: -y, 1.0, np.ones(2), 0.0, rtol=1e-3, atol=1e-6, jac=None)
 
 
 def _toy_solver():
-    return _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
+    return _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0, rtol=1e-3, atol=1e-6,
+                  jac=lambda t, y: -np.eye(2))
 
 
 def test_radau_subclass_keeps_the_lu_checks():
