@@ -37,8 +37,8 @@ import numpy as np
 
 from .integrator import Trajectory, _bisect, dense_states, evaluate_dense
 from .kinetics import (
-    N_PROCESSES, STOICHIOMETRY, ProcessSet, State, floor_state, jacobian_batch,
-    process_rates,
+    N_PROCESSES, STOICHIOMETRY, DomainError, ProcessSet, State, floor_state,
+    jacobian_batch, process_rates,
 )
 from .params import ParameterSet
 
@@ -342,6 +342,11 @@ def explosive_stage(traj: Trajectory, params: ParameterSet) -> Optional[Explosiv
         end = refine(first + int(after[0]))
 
     mid = evaluate_dense(traj, 0.5 * (start + end))
+    if not mid.T > 0.0:
+        raise DomainError(
+            f"explosive stage from t = {start:.4f} to {end:.4f} d: the tumor was "
+            f"clipped to 0 there (T = 0 at t = {mid.t:.4f} d), so the stage has "
+            "no state to decompose")
     dec = decompose(mid, params)
     mode_index = int(np.argmax(dec.explosive)) + 1
     return ExplosiveStage(start=start, end=end, mode_index=mode_index)

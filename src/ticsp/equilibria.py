@@ -21,8 +21,13 @@ A sweep, and `find_hte` as its one-set case, evaluates F in one grid pass
 per `_CHUNK` of parameter sets to find the sign changes, refines all of them
 in one lockstep Brent iteration (`_hte_roots`, one lane per sign change),
 rebuilds all its states with one more array pass of the residual at the
-roots and makes one `eigvals` call; every root, state and eigenvalue is bit
-for bit what the scalar `hte_residual`, Brent's method and `hte_state` give.
+roots, builds their Jacobians with one `jacobian_batch` call and makes one
+`eigvals` call.  A constant that the sweep does not change is a
+one-element column in every pass, so numpy broadcasting computes what it
+alone fixes (for a sweep of d: N*, D* and the CD8+ quadratic with its
+roots) once per pass, not once per set.  Every root, state and eigenvalue
+is bit for bit what the scalar `hte_residual`, Brent's method, `hte_state`
+and `jacobian_array` give.
 `_brentq` is scipy 1.17.1's `brentq`, ported so that no command imports
 `scipy.optimize`; the tests hold it and each lane of `_hte_roots` to
 scipy's roots and evaluation points bit for bit.
@@ -38,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kinetics import DomainError, jacobian_array
+from .kinetics import DomainError, jacobian_batch
 from .params import ParameterSet, PARAMETER_NAMES
 
 __all__ = [
@@ -50,7 +55,7 @@ __all__ = [
 _SENTINEL = 1e300
 _T_GRID = np.geomspace(1.0, 1e10, 400)  # the HTE root scan's T* grid
 _constants = attrgetter(*PARAMETER_NAMES)  # a ParameterSet's values, in order
-_CHUNK = 16  # parameter sets per grid pass: 200 swept values peak at 0.9 MB traced, not 8.8
+_CHUNK = 16  # sets per grid pass: a 200-step sweep of d peaks at 0.44 MiB traced, not 2.1
 _EPS_STAB = 1e-12  # margin below 0 of every real part of a stable HTE
 _XTOL, _RTOL = 1e-13, 4.0 * np.finfo(float).eps  # an HTE root's tolerances, xtol per unit T*
 
@@ -113,9 +118,11 @@ def tfe(p: ParameterSet) -> Equilibrium:
 
 def _libm_pow(x, y):
     """x ** y per element of the array x, with libm's `pow` as a Python float
-    takes it (numpy's array `power` may differ in the last bit); y is a number
-    or an array like x."""
-    ys = y.tolist() if isinstance(y, np.ndarray) else repeat(y)
+    takes it (numpy's array `power` may differ in the last bit); y is a number,
+    a one-element array or an array like x."""
+    ys = y.tolist() if isinstance(y, np.ndarray) else [y]
+    if len(ys) == 1:
+        ys = repeat(ys[0])
     return np.fromiter(map(math.pow, x.tolist(), ys), float, len(x))
 
 
@@ -197,14 +204,15 @@ def hte_residual(Tstar: float, p: ParameterSet) -> float:
 def _hte_residuals(T, p, power=pow):
     """`hte_residual` in one array pass, its domain branches as masks, at T
     with constants that broadcast against it: (m, 1) columns for m parameter
-    sets on one grid, or one value per entry of T.  Also returns the masks of
-    the entries where the scalar call raises, for a negative discriminant and
-    for no positive root, then N*, L*_- and the mask of the feasible branch
-    (NaN D* counts as feasible, as in the scalar).  With libm's `pow` as
-    `power` every value is the scalar's bit for bit; numpy's array `power`
-    may differ in the last bit, and so may the values, but not their signs
-    and zeros.  Entries outside the feasible branch divide by zero or
-    overflow: call under `np.errstate`."""
+    sets on one grid, or one value per entry of T; a constant they share may
+    be a single element.  Also returns the masks of the entries where the
+    scalar call raises, for a negative discriminant and for no positive
+    root, then N*, L*_- and the mask of the feasible branch (NaN D* counts
+    as feasible, as in the scalar).  With libm's `pow` as `power` every
+    value is the scalar's bit for bit; numpy's array `power` may differ in
+    the last bit, and so may the values, but not their signs and zeros.
+    Entries outside the feasible branch divide by zero or overflow: call
+    under `np.errstate`."""
     num, denom = _nk_balance(T, p, power)
     N = num / denom
     D, a2, b2, c2 = _kill_and_quadratic(T, N, p, power)
@@ -220,8 +228,9 @@ def _hte_residuals(T, p, power=pow):
 
 def _hte_grid_residuals(p) -> np.ndarray:
     """`_hte_residuals` on all of `_T_GRID` for one ParameterSet, or one row
-    each for m of them given as (m, 1) columns of constants; raises the
-    scalar's DomainError if any point does."""
+    each for m of them given as (m, 1) columns of constants (a (1, 1) column
+    for a constant they share, and a single row if they share all); raises
+    the scalar's DomainError if any point does."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         F, negative_disc, no_root = _hte_residuals(_T_GRID, p)[:3]
     if negative_disc.any():
@@ -231,9 +240,15 @@ def _hte_grid_residuals(p) -> np.ndarray:
     return F
 
 
-def _columns(constants: np.ndarray) -> SimpleNamespace:
-    """Parameter constants as attributes, one row of `constants` each."""
-    return SimpleNamespace(**dict(zip(PARAMETER_NAMES, constants)))
+def _columns(rows) -> SimpleNamespace:
+    """Parameter constants as attributes, one row of `rows` each."""
+    return SimpleNamespace(**dict(zip(PARAMETER_NAMES, rows)))
+
+
+def _lanes(rows, index) -> list:
+    """The rows of constants at the lanes `index`; a one-element row is a
+    constant that every lane shares, and stays one element to broadcast."""
+    return [row if len(row) == 1 else row[index] for row in rows]
 
 
 def _brentq(f, a, b, xtol: float, rtol: float) -> float:
@@ -293,13 +308,14 @@ def _brentq(f, a, b, xtol: float, rtol: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur:f}")
 
 
-def _hte_roots(constants: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _hte_roots(rows, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A root of `hte_residual` in [a[i], b[i]] for each lane i, with the
-    parameter constants `constants[:, i]`: `_brentq` (xtol `_XTOL` max(1, a),
-    rtol `_RTOL`) on every lane at once.  Each step does `_brentq`'s operations
-    in its order on arrays, masks where lanes branch, and drops the lanes that
-    finish; the residual is `_hte_residuals` with libm's `pow`, so every
-    evaluation point and root is a lane's own `_brentq` call's bit for bit.
+    parameter constants `row[i]` of the 20 `rows` (a row of one element holds
+    every lane's): `_brentq` (xtol `_XTOL` max(1, a), rtol `_RTOL`) on every
+    lane at once.  Each step does `_brentq`'s operations in its order on
+    arrays, masks where lanes branch, and drops the lanes that finish; the
+    residual is `_hte_residuals` with libm's `pow`, so every evaluation
+    point and root is a lane's own `_brentq` call's bit for bit.
     Raises what those calls, made lane by lane, would raise first."""
     roots = np.empty(len(a))
     errors: dict[int, Exception] = {}  # each failed lane's exception
@@ -316,9 +332,9 @@ def _hte_roots(constants: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
         return F, failed
 
     lanes = np.arange(len(a))
+    both = np.concatenate([lanes, lanes])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        F, failed = residuals(np.concatenate([a, b]), np.concatenate([lanes, lanes]),
-                              _columns(np.concatenate([constants, constants], axis=1)))
+        F, failed = residuals(np.concatenate([a, b]), both, _columns(_lanes(rows, both)))
         fa, fb = np.split(F, 2)
         at_a = fa == 0.0
         at_b = ~at_a & (fb == 0.0)
@@ -331,8 +347,8 @@ def _hte_roots(constants: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
         # rows: xpre, xcur, xblk, fpre, fcur, fblk, spre, scur
         Z = np.zeros((8, np.count_nonzero(live)))
         Z[[0, 1, 3, 4]] = a[live], b[live], fa[live], fb[live]
-        lanes, constants, xtol = lanes[live], constants[:, live], _XTOL * np.maximum(1.0, a[live])
-        p = _columns(constants)
+        lanes, rows, xtol = lanes[live], _lanes(rows, live), _XTOL * np.maximum(1.0, a[live])
+        p = _columns(rows)
         for _ in range(100):
             if not len(lanes):
                 break
@@ -351,11 +367,11 @@ def _hte_roots(constants: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
             if done.any():
                 roots[lanes[done]] = xcur[done]
                 go = ~done
-                Z, A, lanes, constants = Z[:, go], A[:, go], lanes[go], constants[:, go]
+                Z, A, lanes, rows = Z[:, go], A[:, go], lanes[go], _lanes(rows, go)
                 xtol, delta, sbis = xtol[go], delta[go], sbis[go]
                 if not len(lanes):
                     break
-                p = _columns(constants)
+                p = _columns(rows)
                 xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = Z
             # interpolate where xpre == xblk, else extrapolate; bisect where
             # the step is not short, or divides by zero to inf or NaN
@@ -374,8 +390,8 @@ def _hte_roots(constants: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
             Z[4], failed = residuals(Z[1], lanes, p)
             if failed.any():
                 go = ~failed
-                Z, lanes, constants, xtol = Z[:, go], lanes[go], constants[:, go], xtol[go]
-                p = _columns(constants)
+                Z, lanes, rows, xtol = Z[:, go], lanes[go], _lanes(rows, go), xtol[go]
+                p = _columns(rows)
     for k, x in zip(lanes.tolist(), Z[1].tolist()):
         errors[k] = RuntimeError(f"Failed to converge after 100 iterations, value is {x:f}")
     if errors:
@@ -410,12 +426,27 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     per `_CHUNK` of them; all their brackets refined by one lockstep Brent
     iteration (`_hte_roots`); the states of all roots rebuilt by one more
     `_hte_residuals` pass with libm's powers, the loop's filters as masks;
-    and one `eigvals` call for all the states (LAPACK `geev` per matrix, so
-    each state's eigenvalues are those of its own call)."""
+    their Jacobians from one `jacobian_batch` call with libm's powers (each
+    `jacobian_array`'s bit for bit); and one `eigvals` call for all the
+    states (LAPACK `geev` per matrix, so each state's eigenvalues are those
+    of its own call).
+
+    Which of the 20 constants vary across `qs` is decided once: each that
+    does not is a one-element row, a (1, 1) column in the grid pass and a
+    (1,) one in the Brent lanes, the state rebuild and the Jacobians, and
+    numpy broadcasting computes what it alone fixes once per pass.  IEEE
+    arithmetic rounds each element alike whatever the shape around it, and
+    every power whose bits reach a result is libm's (the grid pass only
+    decides signs and zeros), so the bits stay those of one set alone."""
     constants = np.array([_constants(q) for q in qs]).T
+    # a constant that no set changes is one element, shared by every set
+    varying = np.any(constants != constants[:, :1], axis=1).tolist()
+    rows = [row if vary else row[:1] for row, vary in zip(constants, varying)]
     zeros, brackets = [], []  # (parameter set, grid index) pairs
     for start in range(0, len(qs), _CHUNK):
-        F = _hte_grid_residuals(_columns(constants[:, start:start + _CHUNK, None]))
+        chunk = slice(start, start + _CHUNK)
+        F = _hte_grid_residuals(_columns([row[:, None] for row in _lanes(rows, chunk)]))
+        F = np.broadcast_to(F, (len(qs[chunk]), len(_T_GRID)))
         zero = F == 0.0
         cross = ~zero[:, :-1] & ((F[:, :-1] > 0.0) != (F[:, 1:] > 0.0))
         zeros.append(np.argwhere(zero) + (start, 0))
@@ -423,7 +454,7 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     zeros, brackets = np.concatenate(zeros), np.concatenate(brackets)
     # Refine to machine precision: the returned states must satisfy the
     # equilibrium conditions to ~1e-10 of the population scale.
-    roots = _hte_roots(constants[:, brackets[:, 0]],
+    roots = _hte_roots(_lanes(rows, brackets[:, 0]),
                        _T_GRID[brackets[:, 1]], _T_GRID[brackets[:, 1] + 1])
     sets = np.concatenate([zeros[:, 0], brackets[:, 0]])
     T = np.concatenate([_T_GRID[zeros[:, 1]], roots])
@@ -431,7 +462,7 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     sets, T = sets[order], T[order]
 
     # hte_state of every root, with libm's powers
-    p = _columns(constants[:, sets])
+    p = _columns(_lanes(rows, sets))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _, negative_disc, no_root, N, L, ok = _hte_residuals(T, p, _libm_pow)
     Y = np.empty((len(T), 4))
@@ -450,14 +481,13 @@ def _find_hte_many(qs: list[ParameterSet]) -> list[list[Equilibrium]]:
     if len(failed):
         hte_state(float(T[failed[0]]), qs[sets[failed[0]]])  # raises the loop's DomainError
     keep = ~duplicate & positive
-    Y, sets = Y[keep], sets[keep].tolist()
+    Y, sets = Y[keep], sets[keep]
 
-    eigs = np.linalg.eigvals(np.reshape([jacobian_array(y, qs[s]) for y, s in zip(Y, sets)],
-                                        (-1, 4, 4)))
+    eigs = np.linalg.eigvals(jacobian_batch(Y, _columns(_lanes(rows, sets)), _libm_pow))
     stable = np.all(eigs.real < -_EPS_STAB, axis=1).tolist()
     oscillating = eigs.imag.any(axis=1).tolist()
     out: list[list[Equilibrium]] = [[] for _ in qs]
-    for s, y, w, osc, st in zip(sets, Y, eigs, oscillating, stable):
+    for s, y, w, osc, st in zip(sets.tolist(), Y, eigs, oscillating, stable):
         # a state's own call returns real eigenvalues when none has an imaginary part
         out[s].append(Equilibrium("HTE", y, w if osc else w.real, st))
     return out

@@ -255,12 +255,16 @@ def jacobian_array(y: np.ndarray, p: ParameterSet) -> np.ndarray:
 
 # -- batch entry point (scans along a trajectory) -------------------------------
 
-def jacobian_batch(Y, p: ParameterSet) -> np.ndarray:
+def jacobian_batch(Y, p: ParameterSet, power=pow) -> np.ndarray:
     """Jacobians of a stack of states: (n, 4) -> (n, 4, 4).
 
     The vectorised twin of `jacobian_array` (which stays the solver's
     per-state kernel and the reference this one is tested against), with
-    the same domain checks on every row.
+    the same domain checks on every row.  Each constant of `p` is a number
+    or an array with one value per row, or one for all.  `power(x, l)`
+    raises the saturation's ratios to l: numpy's power by default, which
+    may differ from `jacobian_array` in the last bit; with libm's `pow` per
+    element every row is `jacobian_array`'s bit for bit.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != 4:
@@ -278,7 +282,7 @@ def jacobian_batch(Y, p: ParameterSet) -> np.ndarray:
     # evaluated, so the masked-out L / T may divide by zero or overflow.
     hi = L >= T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.where(hi, T / L, L / T) ** p.l
+        x = power(np.where(hi, T / L, L / T), p.l)
         denom = np.where(hi, 1.0 + p.s * x, p.s + x)
         sigma = np.where(hi, p.s * x, p.s) / denom
         D = p.d * (np.where(hi, 1.0, x) / denom)

@@ -201,6 +201,19 @@ def test_bad_fixed_M_fails_before_the_run(command, fixed_M, tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_a_stage_where_the_tumor_was_clipped_to_zero_is_named(tmp_path, capsys):
+    # this remission run's tumor is clipped to 0 by t = 188 d, where the
+    # stage scan's T -> 0+ floor still reads a growing mode
+    scenario = tmp_path / "rem.json"
+    scenario.write_text(json.dumps({"name": "REM", "T0": 1e5, "N0": 1e5, "L0": 1e5, "C0": 6e8}))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario-file", scenario, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: explosive stage from t = 187.1231 to 189.1167 d: the tumor was clipped "
+        "to 0 there (T = 0 at t = 188.1199 d), so the stage has no state to decompose\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -22,6 +22,7 @@ from ticsp.equilibria import (
     _brentq,
     _find_hte_many,
     _hte_grid_residuals,
+    _libm_pow,
     _nk_balance,
     _positive_quadratic_root,
     _hte_pieces,
@@ -309,9 +310,15 @@ def test_find_hte_bit_identical_to_the_loop_scan(p):
     *((name, (0.1 * getattr(P, name), 10.0 * getattr(P, name)), 40, True) for name in "gjpq"),
     ("l", (0.1 * P.l, 10.0 * P.l), 56, True),  # an exponent per lane
     ("d", (2.34, 2000.0), 5, True),  # a short sweep: 8 lanes
-], ids=["d-linear", "d-log", "g-log", "j-log", "p-log", "q-log", "l-log", "d-log-short"])
+    *((name, (0.1 * getattr(P, name), 10.0 * getattr(P, name)), 40, True)
+      for name in ["h", "alpha"]),
+    *((name, (0.5 * getattr(P, name), 2.0 * getattr(P, name)), 40, False)
+      for name in ["h", "alpha", "l", "q"]),
+], ids=["d-linear", "d-log", "g-log", "j-log", "p-log", "q-log", "l-log", "d-log-short",
+        "h-log", "alpha-log", "h-linear", "alpha-linear", "l-linear", "q-linear"])
 def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, steps, log,
                                                          monkeypatch):
+    # every constant but the swept one is a single element that all sets share
     lockstep = count_calls(monkeypatch, "equilibria._hte_roots")
     scan = bifurcation_scan(P, name, value_range, steps, log=log)
     assert lockstep["equilibria._hte_roots"] == 1  # all brackets of a sweep, however few
@@ -324,6 +331,19 @@ def test_bifurcation_scan_bit_identical_to_the_loop_scan(name, value_range, step
                for v, T, stable in zip(b.values, b.T_star, b.stable)]
     assert sorted(entries) == sorted((v, e.T, e.stable)
                                      for v, eqs in oracle.items() for e in eqs)
+
+
+def test_identical_sets_share_every_constant():
+    # no constant varies: the grid pass is one row, broadcast to every set
+    for eqs in _find_hte_many([P, P, P]):
+        _assert_same_equilibria(eqs, _find_hte_loop(P))
+
+
+def test_libm_pow_takes_a_one_element_exponent():
+    x = np.array([0.5, 2.0, 3e7])
+    want = [math.pow(v, 1.0 / P.l).hex() for v in x.tolist()]
+    for y in (1.0 / P.l, np.array([1.0 / P.l]), np.full(3, 1.0 / P.l)):
+        assert [r.hex() for r in _libm_pow(x, y).tolist()] == want
 
 
 def test_scan_results_pinned_to_the_last_bit():
@@ -412,10 +432,12 @@ def test_brentq_matches_scipy_on_every_hte_bracket_of_the_benchmark_sweeps(sweep
 
 def test_a_sweep_refines_its_roots_in_lockstep(monkeypatch):
     calls = count_calls(monkeypatch, "equilibria.hte_residual", "equilibria._brentq",
-                        "equilibria._hte_roots")
+                        "equilibria._hte_roots", "kinetics.jacobian_array",
+                        "kinetics.jacobian_batch")
     passes = _lockstep_passes(monkeypatch)
     bifurcation_scan(P, "d", (2.34, 2000.0), 200, log=True)
-    assert calls == {"equilibria._hte_roots": 1}
+    # and the Jacobians of all the states in one stacked call
+    assert calls == {"equilibria._hte_roots": 1, "kinetics.jacobian_batch": 1}
     # one pass at the brackets' ends, then one per Brent step of the slowest
     # lane, then the state rebuild's pass at the 360 roots
     assert len(passes) == 13
@@ -424,7 +446,7 @@ def test_a_sweep_refines_its_roots_in_lockstep(monkeypatch):
     # a single parameter set takes the same path with its two brackets
     calls.clear()
     find_hte(P)
-    assert calls == {"equilibria._hte_roots": 1}
+    assert calls == {"equilibria._hte_roots": 1, "kinetics.jacobian_batch": 1}
 
 
 def _rewrite_off_grid(monkeypatch, name, change):
@@ -534,14 +556,16 @@ def test_find_hte_eigenvalues_pinned_to_the_last_bit(d):
 
 
 def test_bifurcation_scan_memory_is_bounded():
-    # one grid pass per chunk of swept values, not one for the whole sweep
+    # one grid pass per chunk of swept values, not one for the whole sweep,
+    # and what the swept constant does not touch once per chunk: no more
+    # than the 0.90 MiB traced before the unswept constants were shared
     tracemalloc.start()
     try:
         bifurcation_scan(P, "d", (2.34, 2000.0), 200, log=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2e6, peak
+    assert peak <= 0.90 * 2**20, peak
 
 
 def _patched_quadratic(monkeypatch, change):

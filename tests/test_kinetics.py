@@ -16,6 +16,8 @@ from ticsp import (
     State,
     process_rates,
 )
+from ticsp.equilibria import _libm_pow
+from ticsp.integrator import dense_states
 from ticsp.kinetics import (
     T_FLOOR,
     floor_state,
@@ -24,6 +26,7 @@ from ticsp.kinetics import (
     jacobian_batch,
     rhs_array,
 )
+from ticsp.params import PARAMETER_NAMES
 from helpers import assert_jacobian_close, count_calls, fd_jacobian, random_states
 
 P = DEFAULT_PARAMETERS
@@ -168,6 +171,28 @@ def test_batch_floor_row_with_large_cd8_is_silent_and_finite():
         J = jacobian_batch(Y, P)
     assert np.all(np.isfinite(J))
     assert np.array_equal(J[1], jacobian_array(REF_STATE.array(), P))
+
+
+@pytest.mark.parametrize("case", ["TP", "TR", "TP1", "TR1"])
+def test_batch_with_libm_pow_is_the_scalar_kernel_bit_for_bit(case, scenario_results):
+    # 3001 dense states of each reference run, floored as the stage scan
+    # floors them; numpy's array power differs from libm's in the last bit
+    traj = scenario_results[case].trajectory
+    Y = floor_state(dense_states(traj, np.linspace(*traj.span, 3001)))
+    got = jacobian_batch(Y, P, power=_libm_pow)
+    assert [i for i, (y, J) in enumerate(zip(Y, got))
+            if J.tobytes() != jacobian_array(y, P).tobytes()] == []
+
+
+def test_batch_takes_constants_per_row():
+    # d and l per row, every other constant one value for all rows
+    qs = [P.replace(d=d, l=l) for d, l in [(0.1, 2.09), (2.34, 1.5), (500.0, 3.0)]]
+    p = SimpleNamespace(**{name: np.array([getattr(q, name) for q in qs]
+                                          if name in ("d", "l") else [getattr(P, name)])
+                           for name in PARAMETER_NAMES})
+    Y = np.array([[1e6, 1e3, 10.0, 6e8], [5e7, 2e5, 1e8, 6e10], [3.0, 1e5, 0.0, 6e10]])
+    for y, q, J in zip(Y, qs, jacobian_batch(Y, p, power=_libm_pow)):
+        assert J.tobytes() == jacobian_array(y, q).tobytes()
 
 
 def test_stoichiometry_is_constant_integer():
